@@ -73,10 +73,6 @@ class PartitionInjector(Transport):
         return getattr(self.inner, "engine", None)
 
     @property
-    def concurrent_collections(self) -> bool:  # type: ignore[override]
-        return getattr(self.inner, "concurrent_collections", False)
-
-    @property
     def stale_responses_rejected(self) -> int:
         return getattr(self.inner, "stale_responses_rejected", 0)
 

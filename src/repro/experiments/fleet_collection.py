@@ -55,7 +55,6 @@ def default_profile() -> DeviceProfile:
 def run_round(transport: str, device_count: int,
               profile: Optional[DeviceProfile] = None,
               horizon: Optional[float] = None,
-              max_workers: Optional[int] = None,
               store_factory: Optional[Callable[[], StateStore]] = None,
               mode: str = "async",
               shards: int = 4,
@@ -93,8 +92,7 @@ def run_round(transport: str, device_count: int,
         # does not land inside whichever mode happens to trigger it.
         gc.collect()
         measured = time.perf_counter()
-        reports = fleet.collect_all(max_workers=max_workers,
-                                    pipeline=(mode != "sync-baseline"))
+        reports = fleet.collect_all(pipeline=(mode != "sync-baseline"))
         finished = time.perf_counter()
         sim_round_trip = fleet.now - horizon
     finally:
@@ -332,11 +330,10 @@ def format_obs_table(rows: List[Dict[str, object]]) -> str:
 
 def run(device_count: int = 1000,
         transports: Sequence[str] = DEFAULT_TRANSPORTS,
-        profile: Optional[DeviceProfile] = None,
-        max_workers: Optional[int] = None) -> List[Dict[str, object]]:
+        profile: Optional[DeviceProfile] = None
+        ) -> List[Dict[str, object]]:
     """One throughput row per transport for the given fleet size."""
-    return [run_round(transport, device_count, profile=profile,
-                      max_workers=max_workers)
+    return [run_round(transport, device_count, profile=profile)
             for transport in transports]
 
 

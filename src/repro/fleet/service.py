@@ -18,9 +18,7 @@ legacy single-device :class:`repro.core.ErasmusVerifier`.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
@@ -30,6 +28,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Tuple,
     Union,
 )
 
@@ -49,7 +48,6 @@ from repro.core.verification import (
 from repro.fleet.profiles import DeviceProfile, ProvisionedDevice
 from repro.fleet.sinks import FleetHealth, ReportSink, RoundStats, SinkFanout
 from repro.fleet.transport import (
-    AsyncTransport,
     InProcessTransport,
     SimulatedNetworkTransport,
     SocketTransport,
@@ -83,6 +81,12 @@ DEFAULT_BATCH_SIZE = 256
 
 #: Default number of shards a pipelined round keeps in flight at once.
 DEFAULT_MAX_INFLIGHT_SHARDS = 4
+
+#: What a pipeline verify step hands back for one settled shard: the
+#: responses its received/lost count goes by, and the step that commits
+#: the shard's reports (run in shard order by the round loop).
+_ShardOutcome = Tuple[Mapping[str, Optional[bytes]],
+                      Callable[[], List[VerificationReport]]]
 
 
 class RoundReports(List[VerificationReport]):
@@ -155,6 +159,24 @@ class FleetVerifier(BaseVerifier):
     counters and span traces.  The default (``None`` →
     :data:`repro.obs.NULL_OBSERVABILITY`) keeps every instrumented
     path at historical cost behind a single ``enabled`` test.
+
+    Collection rounds run through one windowed loop,
+    :meth:`collect_all_async`: shards of devices exchange concurrently
+    over the transport, each settled shard runs a *verify step*, and
+    the loop commits the shards' reports in shard order.  There are two
+    verify steps, chosen per verifier:
+
+    * inline (the default) — the shard is judged in this process
+      through the precompiled per-device fast path, and every report
+      is committed through :meth:`_commit`;
+    * worker process — once a process-mode
+      :class:`ShardedFleetVerifier` binds this verifier to a pool slot,
+      the shard ships to that worker process, and its report rows come
+      back through :meth:`apply_worker_batch`; a crashed worker turns
+      the shard into ``NO_DATA`` reports counted as lost.
+
+    :meth:`collect_all` is the synchronous shim over that loop, plus
+    the ``pipeline=False`` sequential reference round.
     """
 
     def __init__(self, config: ErasmusConfig,
@@ -181,6 +203,9 @@ class FleetVerifier(BaseVerifier):
         # DeviceJudge); rebuilt transparently if a re-enrollment
         # replaces a device's key.
         self._judges: Dict[str, DeviceJudge] = {}
+        # (pool, slot) once a process-mode ShardedFleetVerifier binds
+        # this verifier to a worker process; selects the verify step.
+        self._worker_slot: Optional[Tuple[WorkerPool, int]] = None
         self._closed = False
 
     @classmethod
@@ -323,18 +348,23 @@ class FleetVerifier(BaseVerifier):
         return self._judge_for(device_id, enrollment).verify_measurements(
             enrollment, measurements, collection_time, expect_nonempty=True)
 
-    def _commit(self, report: VerificationReport) -> VerificationReport:
-        """Advance per-device bookkeeping and stream the report to sinks.
+    def _commit(self, report: VerificationReport, *,
+                fold: bool = True) -> VerificationReport:
+        """Journal the report, advance bookkeeping and stream it to sinks.
 
         The report is journaled *before* the enrollment advance so the
         store's write-ahead invariant holds: a crash between the two
         writes replays the report (which re-derives the advance) rather
         than leaving an advanced ``last_seen`` with no report behind it.
+        ``fold=False`` leaves the report out of :attr:`health`, for a
+        caller that folds a whole batch's aggregate part at once
+        (:meth:`apply_worker_batch`).
         """
         if self.store is not None:
             self.store.append_report(report)
         self._advance_bookkeeping(report)
-        self.health.record(report)
+        if fold:
+            self.health.record(report)
         if self.obs.enabled:
             self.obs.report_committed(report)
         for sink in self.sinks:
@@ -346,27 +376,15 @@ class FleetVerifier(BaseVerifier):
                            ) -> List[VerificationReport]:
         """Commit one process-worker task's results, in row order.
 
-        The twin of :meth:`_commit` for verification that happened in a
-        worker process: each shipped report row is journaled, advances
-        the device's bookkeeping and streams to the sinks exactly as a
-        locally-verified report would, and the task's
-        :class:`FleetHealth` part folds in through
-        :meth:`FleetHealth.merge` — the exact-Fraction accumulator, so
-        the merged aggregate is byte-identical to recording every
-        report here.
+        Each shipped report row goes through :meth:`_commit` exactly as
+        a locally-verified report would (journal, bookkeeping, sinks);
+        only the health fold differs: the task's :class:`FleetHealth`
+        part folds in once through :meth:`FleetHealth.merge` — the
+        exact-Fraction accumulator, so the merged aggregate is
+        byte-identical to recording every report here.
         """
-        reports: List[VerificationReport] = []
-        obs_enabled = self.obs.enabled
-        for row in report_rows:
-            report = VerificationReport.from_row(row)
-            if self.store is not None:
-                self.store.append_report(report)
-            self._advance_bookkeeping(report)
-            if obs_enabled:
-                self.obs.report_committed(report)
-            for sink in self.sinks:
-                sink.emit(report)
-            reports.append(report)
+        reports = [self._commit(VerificationReport.from_row(row), fold=False)
+                   for row in report_rows]
         self.health.merge(FleetHealth.from_row(health_row))
         return reports
 
@@ -440,7 +458,6 @@ class FleetVerifier(BaseVerifier):
                     k: Optional[int] = None,
                     device_ids: Optional[Iterable[str]] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
-                    max_workers: Optional[int] = None,
                     checkpoint: bool = True,
                     pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
@@ -479,8 +496,7 @@ class FleetVerifier(BaseVerifier):
             _ensure_no_running_loop("await collect_all_async(...) instead")
             return asyncio.run(self.collect_all_async(
                 transport, collection_time, k=k, device_ids=device_ids,
-                batch_size=batch_size, max_workers=max_workers,
-                checkpoint=checkpoint,
+                batch_size=batch_size, checkpoint=checkpoint,
                 max_inflight_shards=max_inflight_shards))
 
         engine, ids, request_bytes = self._round_prologue(
@@ -492,7 +508,7 @@ class FleetVerifier(BaseVerifier):
         try:
             self._run_round_sequential(transport, ids, request_bytes,
                                        collection_time, engine, batch_size,
-                                       max_workers, reports, stats)
+                                       reports, stats)
         except BaseException:
             # The fanout closed the sinks so nothing buffered was lost;
             # drop the closed ones so a retry round on this verifier
@@ -506,7 +522,6 @@ class FleetVerifier(BaseVerifier):
                               request_bytes: bytes,
                               collection_time: Optional[float],
                               engine, batch_size: int,
-                              max_workers: Optional[int],
                               reports: List[VerificationReport],
                               stats: RoundStats) -> None:
         """The reference round: sequential batches, inside the fan-out."""
@@ -519,20 +534,10 @@ class FleetVerifier(BaseVerifier):
                 self._count_batch(stats, batch, responses)
                 batch_time = collection_time if collection_time is not None \
                     else engine.now
-
-                def _verify(device_id: str, batch_time: float = batch_time
-                            ) -> VerificationReport:
-                    return self._verify_payload(device_id,
-                                                responses.get(device_id),
-                                                batch_time)
-
-                if max_workers is not None and max_workers > 1 \
-                        and len(batch) > 1:
-                    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                        batch_reports = list(pool.map(_verify, batch))
-                else:
-                    batch_reports = [_verify(device_id)
-                                     for device_id in batch]
+                batch_reports = [
+                    self._verify_payload(device_id, responses.get(device_id),
+                                         batch_time)
+                    for device_id in batch]
                 for report in batch_reports:
                     reports.append(self._commit(report))
 
@@ -551,7 +556,6 @@ class FleetVerifier(BaseVerifier):
                                 k: Optional[int] = None,
                                 device_ids: Optional[Iterable[str]] = None,
                                 batch_size: int = DEFAULT_BATCH_SIZE,
-                                max_workers: Optional[int] = None,
                                 checkpoint: bool = True,
                                 max_inflight_shards: int =
                                 DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
@@ -560,13 +564,14 @@ class FleetVerifier(BaseVerifier):
         The round is cut into shards of ``batch_size`` devices; up to
         ``max_inflight_shards`` shards are in flight at once, each
         exchanging over the awaitable transport seam
-        (:func:`~repro.fleet.transport.as_async_transport`) and
-        verifying its payloads — through the precompiled per-device
-        fast path — as soon as *its* exchange settles, while later
+        (:func:`~repro.fleet.transport.as_async_transport`) and running
+        its verify step as soon as *its* exchange settles, while later
         shards' packets are still on the wire.  Commits (store journal,
         health aggregate, sink fan-out) happen in shard order, so the
         report list is deterministic, in the same device order as the
-        sequential reference path.
+        sequential reference path.  The verify step is inline by
+        default, or a worker process once a sharded verifier bound this
+        verifier to a pool slot (see the class docstring).
 
         On an engine-clock transport the overlap is visible in the
         stamps: shards launch together instead of barriering, so a
@@ -577,12 +582,10 @@ class FleetVerifier(BaseVerifier):
         ``pipeline=False``.
 
         ``transport`` may be a synchronous :class:`Transport` (adapted
-        automatically), an :class:`AsyncTransport`, or anything exposing
-        a native ``exchange_many_async`` such as the simulated network —
-        whose rounds then genuinely overlap in virtual time.
-        ``max_workers`` offloads verification to one shared thread pool
-        of that size (useful on multi-core verifiers); by default
-        verification runs inline between awaits.
+        automatically), an :class:`~repro.fleet.transport.
+        AsyncTransport`, or anything exposing a native
+        ``exchange_many_async`` such as the simulated network — whose
+        rounds then genuinely overlap in virtual time.
         """
         if max_inflight_shards <= 0:
             raise ValueError("max_inflight_shards must be positive")
@@ -595,19 +598,15 @@ class FleetVerifier(BaseVerifier):
         started = _time.perf_counter()
         reports = RoundReports()
         stats = RoundStats(shards=len(shards))
-
-        # One pool for the whole round: per-shard pools would multiply
-        # the caller's thread cap by the number of in-flight shards and
-        # re-pay pool construction per shard.
-        pool = ThreadPoolExecutor(max_workers=max_workers) \
-            if max_workers is not None and max_workers > 1 else None
+        verify_shard = self._verify_shard_inline \
+            if self._worker_slot is None else self._verify_shard_in_worker
 
         obs = self.obs
         obs_enabled = obs.enabled
         round_span = None
 
-        async def _collect_shard(shard: List[str], batch_index: int):
-            shard_cm = obs.trace_shard(round_span, batch_index,
+        async def _collect_shard(shard: List[str], shard_index: int):
+            shard_cm = obs.trace_shard(round_span, shard_index,
                                        devices=len(shard)) \
                 if obs_enabled else nullcontext()
             with shard_cm as shard_span:
@@ -615,52 +614,14 @@ class FleetVerifier(BaseVerifier):
                     {device_id: request_bytes for device_id in shard})
                 shard_time = collection_time \
                     if collection_time is not None else engine.now
-                verify = self._verify_payload_fast
-                if obs_enabled:
-                    # Wall time goes only to the histogram — spans carry
-                    # virtual time, keeping traces byte-reproducible.
-                    observe = obs.verify_observer(self.obs_shard).observe
-                    perf = _time.perf_counter
-
-                    def _verify_observed(device_id: str
-                                         ) -> VerificationReport:
-                        verify_started = perf()
-                        report = verify(device_id,
-                                        responses.get(device_id),
-                                        shard_time)
-                        observe(perf() - verify_started)
-                        obs.record_device_verify(shard_span, device_id,
-                                                 report.status.value)
-                        return report
-
-                    if pool is not None and len(shard) > 1:
-                        loop = asyncio.get_running_loop()
-                        shard_reports = list(await asyncio.gather(*[
-                            loop.run_in_executor(pool, _verify_observed,
-                                                 device_id)
-                            for device_id in shard]))
-                    else:
-                        shard_reports = [_verify_observed(device_id)
-                                         for device_id in shard]
-                    if shard_span is not None:
-                        received = sum(
-                            1 for device_id in shard
-                            if responses.get(device_id) is not None)
-                        shard_span.attrs["received"] = received
-                        shard_span.attrs["lost"] = len(shard) - received
-                elif pool is not None and len(shard) > 1:
-                    loop = asyncio.get_running_loop()
-                    shard_reports = list(await asyncio.gather(*[
-                        loop.run_in_executor(pool, verify, device_id,
-                                             responses.get(device_id),
-                                             shard_time)
-                        for device_id in shard]))
-                else:
-                    shard_reports = [
-                        verify(device_id, responses.get(device_id),
-                               shard_time)
-                        for device_id in shard]
-            return responses, shard_reports
+                responses, commit = await verify_shard(
+                    shard, responses, shard_time, shard_span)
+                if shard_span is not None:
+                    received = sum(1 for device_id in shard
+                                   if responses.get(device_id) is not None)
+                    shard_span.attrs["received"] = received
+                    shard_span.attrs["lost"] = len(shard) - received
+            return responses, commit
 
         in_flight: List[asyncio.Task] = []
         next_shard = 0
@@ -685,17 +646,13 @@ class FleetVerifier(BaseVerifier):
             with round_cm as round_span:
                 with SinkFanout(self.sinks):
                     _keep_window_full()
-                    shard_index = 0
-                    while in_flight:
+                    for shard in shards:
                         current = in_flight.pop(0)
-                        responses, shard_reports = await current
+                        responses, commit = await current
                         current = None
                         _keep_window_full()
-                        self._count_batch(stats, shards[shard_index],
-                                          responses)
-                        shard_index += 1
-                        for report in shard_reports:
-                            reports.append(self._commit(report))
+                        self._count_batch(stats, shard, responses)
+                        reports.extend(commit())
                 if round_span is not None:
                     round_span.attrs["reports"] = len(reports)
         except BaseException:
@@ -716,139 +673,83 @@ class FleetVerifier(BaseVerifier):
         finally:
             if obs_enabled:
                 obs.rounds_inflight.dec()
-            if pool is not None:
-                pool.shutdown(wait=True)
         return self._finish_round(reports, stats, atransport, stale_before,
                                   started, checkpoint)
 
-    async def collect_all_process_async(self, transport, pool: WorkerPool,
-                                        worker_index: int,
-                                        collection_time: Optional[float]
-                                        = None,
-                                        k: Optional[int] = None,
-                                        device_ids: Optional[Iterable[str]]
-                                        = None,
-                                        batch_size: int = DEFAULT_BATCH_SIZE,
-                                        checkpoint: bool = True,
-                                        max_inflight_shards: int =
-                                        DEFAULT_MAX_INFLIGHT_SHARDS
-                                        ) -> RoundReports:
-        """One collection round with verification in a worker process.
+    async def _verify_shard_inline(self, shard: List[str],
+                                   responses: Mapping[str, Optional[bytes]],
+                                   shard_time: float, shard_span
+                                   ) -> _ShardOutcome:
+        """Verify step judging a settled shard here, between awaits.
 
-        The pipeline shape of :meth:`collect_all_async` — batches of
-        ``batch_size`` devices, up to ``max_inflight_shards`` in flight
-        — but each settled batch is shipped to ``pool`` worker
-        ``worker_index`` as a binary task (payloads plus current
-        ``last_seen`` snapshots) instead of being verified inline.  The
-        worker returns report rows and one :class:`FleetHealth` part
-        per task; :meth:`apply_worker_batch` commits them here in batch
-        order, so stores, sinks and bookkeeping see exactly what local
-        verification would have produced.
-
-        The caller must have spawned the worker and synced enrollments
-        (see :meth:`WorkerPool.ensure_worker` /
-        :meth:`WorkerPool.sync_enrollments`).  If the worker crashes
-        mid-round, every batch still outstanding on it completes with
-        its devices reported ``NO_DATA`` and counted as lost; the
-        worker is *not* respawned mid-round — the next round's
-        ``ensure_worker`` brings it back.  Per-device span traces are
-        not recorded in process mode (the verify happens in another
-        process); verify latency still feeds the shard histogram from
-        worker-measured timings.
+        Runs the precompiled per-device fast path; returns the
+        responses (for the received/lost count) and the step that
+        commits the reports through :meth:`_commit`.
         """
-        if max_inflight_shards <= 0:
-            raise ValueError("max_inflight_shards must be positive")
-        atransport = as_async_transport(transport)
-        engine, ids, request_bytes = self._round_prologue(
-            atransport, collection_time, device_ids, batch_size, k)
-        shards = [ids[start:start + batch_size]
-                  for start in range(0, len(ids), batch_size)]
-        stale_before = getattr(atransport, "stale_responses_rejected", 0)
-        started = _time.perf_counter()
-        reports = RoundReports()
-        stats = RoundStats(shards=len(shards))
+        verify = self._verify_payload_fast
         obs = self.obs
-        obs_enabled = obs.enabled
-        observe = obs.verify_observer(self.obs_shard).observe \
-            if obs_enabled else None
+        if obs.enabled:
+            # Wall time goes only to the histogram — spans carry
+            # virtual time, keeping traces byte-reproducible.
+            observe = obs.verify_observer(self.obs_shard).observe
+            perf = _time.perf_counter
+            shard_reports = []
+            for device_id in shard:
+                verify_started = perf()
+                report = verify(device_id, responses.get(device_id),
+                                shard_time)
+                observe(perf() - verify_started)
+                obs.record_device_verify(shard_span, device_id,
+                                         report.status.value)
+                shard_reports.append(report)
+        else:
+            shard_reports = [verify(device_id, responses.get(device_id),
+                                    shard_time)
+                             for device_id in shard]
+        return responses, lambda: [self._commit(report)
+                                   for report in shard_reports]
 
-        async def _collect_shard(shard: List[str]):
-            responses = await atransport.exchange_many(
-                {device_id: request_bytes for device_id in shard})
-            shard_time = collection_time \
-                if collection_time is not None else engine.now
-            entries = [(device_id, responses.get(device_id),
-                        self._enrollments[device_id].last_seen)
-                       for device_id in shard]
-            try:
-                body = await asyncio.wrap_future(pool.submit_task(
-                    worker_index, shard_time, entries,
-                    want_timings=obs_enabled))
-            except WorkerCrashed:
-                return responses, shard_time, None, None
-            rows, health_row, timings = decode_result(body)
-            return responses, shard_time, (rows, health_row), timings
+    async def _verify_shard_in_worker(self, shard: List[str],
+                                      responses: Mapping[str,
+                                                         Optional[bytes]],
+                                      shard_time: float, shard_span
+                                      ) -> _ShardOutcome:
+        """Verify step shipping a settled shard to this verifier's worker.
 
-        in_flight: List[asyncio.Task] = []
-        next_shard = 0
+        The payloads and current ``last_seen`` snapshots travel to the
+        bound pool slot as one binary task; the worker returns report
+        rows and one :class:`FleetHealth` part, which the commit step
+        applies through :meth:`apply_worker_batch`.  Per-device spans
+        are not recorded (the verify happens in another process);
+        verify latency still feeds the shard histogram from
+        worker-measured timings.
 
-        def _keep_window_full() -> None:
-            nonlocal next_shard
-            while next_shard < len(shards) and \
-                    len(in_flight) < max_inflight_shards:
-                in_flight.append(asyncio.ensure_future(
-                    _collect_shard(shards[next_shard])))
-                next_shard += 1
-
-        if obs_enabled:
-            obs.rounds_inflight.inc()
-        current: Optional[asyncio.Task] = None
+        If the worker crashes holding the task, the responses are
+        unverifiable: the shard's devices are committed ``NO_DATA`` and
+        counted lost — never guessed healthy.  The slot is *not*
+        respawned mid-round; the next round's ``ensure_worker`` brings
+        it back.
+        """
+        pool, slot = self._worker_slot
+        obs = self.obs
+        entries = [(device_id, responses.get(device_id),
+                    self._enrollments[device_id].last_seen)
+                   for device_id in shard]
         try:
-            with SinkFanout(self.sinks):
-                _keep_window_full()
-                shard_index = 0
-                while in_flight:
-                    current = in_flight.pop(0)
-                    responses, shard_time, outcome, timings = await current
-                    current = None
-                    _keep_window_full()
-                    shard = shards[shard_index]
-                    shard_index += 1
-                    if outcome is None:
-                        # The worker died holding this batch: the
-                        # responses are unverifiable, so the devices
-                        # are reported lost — never guessed healthy.
-                        self._count_batch(stats, shard, {})
-                        for device_id in shard:
-                            reports.append(self._commit(VerificationReport(
-                                device_id=device_id,
-                                collection_time=shard_time,
-                                status=DeviceStatus.NO_DATA,
-                                anomalies=["shard worker crashed; response "
-                                           "discarded"])))
-                        continue
-                    self._count_batch(stats, shard, responses)
-                    rows, health_row = outcome
-                    reports.extend(self.apply_worker_batch(rows, health_row))
-                    if observe is not None and timings is not None:
-                        for timing in timings:
-                            observe(timing)
-        except BaseException:
-            leftovers = ([current] if current is not None else []) + in_flight
-            for task in leftovers:
-                task.cancel()
-            for task in leftovers:
-                try:
-                    await task
-                except BaseException:
-                    pass  # the primary failure is what propagates
-            self.sinks = [sink for sink in self.sinks if not sink.closed]
-            raise
-        finally:
-            if obs_enabled:
-                obs.rounds_inflight.dec()
-        return self._finish_round(reports, stats, atransport, stale_before,
-                                  started, checkpoint)
+            body = await asyncio.wrap_future(pool.submit_task(
+                slot, shard_time, entries, want_timings=obs.enabled))
+        except WorkerCrashed:
+            return {}, lambda: [self._commit(VerificationReport(
+                device_id=device_id, collection_time=shard_time,
+                status=DeviceStatus.NO_DATA,
+                anomalies=["shard worker crashed; response discarded"]))
+                for device_id in shard]
+        rows, health_row, timings = decode_result(body)
+        if timings is not None:
+            observe = obs.verify_observer(self.obs_shard).observe
+            for timing in timings:
+                observe(timing)
+        return responses, lambda: self.apply_worker_batch(rows, health_row)
 
 
 # ----------------------------------------------------------------------
@@ -858,9 +759,10 @@ class FleetVerifier(BaseVerifier):
 class _LockedStore(StateStore):
     """Serialize concurrent access to one shared :class:`StateStore`.
 
-    Shard workers write enrollment advances and report journal entries
-    from their own threads; the backends (JSONL stream, SQLite
-    connection) are single-writer, so every call takes one re-entrant
+    Every shard worker writes enrollment advances and report journal
+    entries through this one wrapper, and the backends (JSONL stream,
+    SQLite connection) are single-writer, so every call — from the
+    round's event loop or any other thread — takes one re-entrant
     lock.  Contention is negligible — writes are tiny compared to
     verification work — and the payoff is that a sharded verifier's
     durable state is the *same single store* a plain verifier would
@@ -916,15 +818,9 @@ class ShardedFleetVerifier:
     The fleet's devices are assigned round-robin to ``shards`` inner
     :class:`FleetVerifier` workers.  A collection round runs every
     worker's :meth:`FleetVerifier.collect_all_async` pipeline over its
-    own shard:
-
-    * on a transport that allows concurrent exchanges (in-process), the
-      workers run on a thread pool — on a multi-core verifier host the
-      shards' crypto genuinely overlaps;
-    * on a single-threaded engine transport (the simulated network),
-      the workers share one event loop instead, their rounds
-      overlapping in virtual time through the network's per-round
-      settlement tracking.
+    own shard, all of them overlapping cooperatively on one event loop
+    through the awaitable transport seam (in virtual time on the
+    simulated network, through its per-round settlement tracking).
 
     Workers share one :class:`~repro.store.StateStore` (behind a lock),
     so enrollments and the report journal land in a single durable
@@ -940,17 +836,12 @@ class ShardedFleetVerifier:
     interleaves commit and emit per report, stops both at the failure
     point.
 
-    ``worker_mode`` selects how shard rounds execute:
+    ``worker_mode`` selects each worker pipeline's verify step:
 
-    * ``"loop"`` (the default) — all workers' async pipelines overlap
-      cooperatively on one event loop.  On CPython this is the fast
-      choice for ERASMUS verification, whose hot path is pure Python
-      plus small-buffer C crypto that never releases the GIL: a thread
-      pool would buy lock contention, not parallelism.
-    * ``"thread"`` — one OS thread (and event loop) per worker,
-      requiring a transport that allows concurrent exchanges.  The
-      seam for workloads that do drop the GIL (large measured regions,
-      native crypto offload) or free-threaded builds.
+    * ``"loop"`` (the default) — inline, in this process.  ERASMUS
+      verification is pure Python plus small-buffer C crypto that
+      never releases the GIL, so in-process parallelism would buy lock
+      contention, not speed.
     * ``"process"`` — one spawned worker *process* per shard (see
       :mod:`repro.fleet.workers`): the HMAC-heavy verify loop runs
       outside this process's GIL entirely, fed over binary pipes with
@@ -972,9 +863,9 @@ class ShardedFleetVerifier:
                  obs: Optional["Observability"] = None) -> None:
         if shards < 1:
             raise ValueError("a sharded verifier needs at least one shard")
-        if worker_mode not in ("loop", "thread", "process"):
+        if worker_mode not in ("loop", "process"):
             raise ValueError(f"unknown worker mode {worker_mode!r}; "
-                             f"expected 'loop', 'thread' or 'process'")
+                             f"expected 'loop' or 'process'")
         self.worker_mode = worker_mode
         self.config = config
         self.shards = shards
@@ -1016,11 +907,14 @@ class ShardedFleetVerifier:
         return self._pool
 
     def _ensure_pool(self) -> WorkerPool:
+        """The process pool, spawned once, each worker bound to its slot."""
         if self._pool is None:
             self._pool = WorkerPool(self.shards, config=self.config,
                                     schedule_tolerance=self.schedule_tolerance,
                                     allowed_missing=self.allowed_missing,
                                     obs=self.obs)
+            for index, worker in enumerate(self.workers):
+                worker._worker_slot = (self._pool, index)
         return self._pool
 
     def warm_up(self) -> None:
@@ -1127,9 +1021,8 @@ class ShardedFleetVerifier:
         """Snapshot the merged state into the shared store.
 
         Goes through the :class:`_LockedStore` wrapper, never the raw
-        backend: a straggling shard worker may still be appending report
-        rows when a pipelined round checkpoints, and the JSONL/SQLite
-        backends are single-writer.
+        backend, like every other write to the shared store: the
+        JSONL/SQLite backends are single-writer.
         """
         if self._shared_store is None:
             return
@@ -1146,22 +1039,19 @@ class ShardedFleetVerifier:
                     collection_time: Optional[float] = None,
                     k: Optional[int] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
-                    max_workers: Optional[int] = None,
                     checkpoint: bool = True,
-                    pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
                     ) -> RoundReports:
         """One fleet-wide round: all shard workers drain concurrently.
 
-        ``max_workers`` and ``pipeline`` are accepted for facade
-        compatibility with :meth:`FleetVerifier.collect_all`; shard
-        workers are themselves the concurrency mechanism, and every
-        worker always runs its async pipeline.
+        In ``"process"`` mode the worker processes are first spawned
+        (or respawned) and re-synced where enrollments changed; then
+        every shard worker's :meth:`FleetVerifier.collect_all_async`
+        pipeline runs, all gathered on one event loop.
         """
-        del max_workers, pipeline  # shard workers are the parallelism
         _ensure_no_running_loop(
-            "drive sharded rounds from synchronous code — the shard "
-            "workers run their own event loops")
+            "drive sharded rounds from synchronous code — the round "
+            "runs its own event loop")
         if collection_time is None and \
                 getattr(transport, "engine", None) is None:
             raise ValueError(
@@ -1174,54 +1064,17 @@ class ShardedFleetVerifier:
         stale_before = getattr(transport, "stale_responses_rejected", 0)
         started = _time.perf_counter()
 
-        def _worker_args(index: int) -> Dict[str, object]:
-            return dict(collection_time=collection_time, k=k,
-                        device_ids=shard_ids[index], batch_size=batch_size,
-                        checkpoint=False,
-                        max_inflight_shards=max_inflight_shards)
+        async def _gather() -> List[RoundReports]:
+            if self.worker_mode == "process":
+                await self._sync_worker_processes(self._ensure_pool())
+            return list(await asyncio.gather(*[
+                worker.collect_all_async(
+                    transport, collection_time, k=k, device_ids=ids,
+                    batch_size=batch_size, checkpoint=False,
+                    max_inflight_shards=max_inflight_shards)
+                for worker, ids in zip(self.workers, shard_ids)]))
 
-        threaded = self.worker_mode == "thread" and self.shards > 1
-        if threaded and not getattr(transport, "concurrent_collections",
-                                    False):
-            raise ValueError(
-                f"transport {getattr(transport, 'name', transport)!r} does "
-                f"not support concurrent exchanges from thread workers; "
-                f"use worker_mode='loop' (the shards then overlap on one "
-                f"event loop) or an in-process transport")
-        if threaded:
-            def _run_worker(index: int) -> RoundReports:
-                return asyncio.run(self.workers[index].collect_all_async(
-                    transport, **_worker_args(index)))
-
-            with ThreadPoolExecutor(max_workers=self.shards) as pool:
-                futures = [pool.submit(_run_worker, index)
-                           for index in range(self.shards)]
-                worker_reports = [future.result() for future in futures]
-        elif self.worker_mode == "process":
-            # Verification runs in the pool's worker processes; this
-            # process only drives exchanges and applies commit batches,
-            # all shards overlapping on one event loop.
-            async def _gather_process() -> List[RoundReports]:
-                worker_pool = self._ensure_pool()
-                await self._sync_worker_processes(worker_pool)
-                return list(await asyncio.gather(*[
-                    self.workers[index].collect_all_process_async(
-                        transport, worker_pool, index, **_worker_args(index))
-                    for index in range(self.shards)]))
-
-            worker_reports = asyncio.run(_gather_process())
-        else:
-            # Cooperative mode: every worker's pipeline shares one
-            # event loop, overlapping through the same awaitable
-            # transport seam (and in virtual time on the simulated
-            # network).
-            async def _gather() -> List[RoundReports]:
-                return list(await asyncio.gather(*[
-                    self.workers[index].collect_all_async(
-                        transport, **_worker_args(index))
-                    for index in range(self.shards)]))
-
-            worker_reports = asyncio.run(_gather())
+        worker_reports = asyncio.run(_gather())
 
         by_device = {report.device_id: report
                      for shard_reports in worker_reports
@@ -1344,9 +1197,9 @@ class Fleet:
         :meth:`FleetVerifier.restore`).  ``shards`` provisions the
         fleet onto a :class:`ShardedFleetVerifier` with that many
         concurrent shard workers instead of a single
-        :class:`FleetVerifier`; ``worker_mode`` then selects how the
-        shard rounds execute (``"loop"``, ``"thread"`` or
-        ``"process"`` — see :class:`ShardedFleetVerifier`).
+        :class:`FleetVerifier`; ``worker_mode`` then selects where the
+        shards are verified (``"loop"``: inline, or ``"process"``: in
+        worker processes — see :class:`ShardedFleetVerifier`).
 
         ``obs`` threads one :class:`repro.obs.Observability` through
         the whole stack: its clock binds to the fleet engine, the
@@ -1473,7 +1326,6 @@ class Fleet:
     def collect_all(self, k: Optional[int] = None,
                     collection_time: Optional[float] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
-                    max_workers: Optional[int] = None,
                     checkpoint: bool = True,
                     pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
@@ -1482,34 +1334,41 @@ class Fleet:
 
         ``collection_time=None`` stamps each batch at the engine clock
         after its exchange (see :meth:`FleetVerifier.collect_all`).
+        ``pipeline=False`` (the sequential reference round) exists only
+        on a single-verifier fleet; a sharded fleet raises
+        :class:`ValueError` rather than silently pipelining.
         """
+        if pipeline:
+            return self.verifier.collect_all(
+                self.transport, collection_time, k=k,
+                batch_size=batch_size, checkpoint=checkpoint,
+                max_inflight_shards=max_inflight_shards)
+        if not isinstance(self.verifier, FleetVerifier):
+            raise ValueError("pipeline=False is the single-verifier "
+                             "reference round; a sharded fleet always runs "
+                             "its shard workers' pipelines")
         return self.verifier.collect_all(
-            self.transport, collection_time, k=k,
-            batch_size=batch_size, max_workers=max_workers,
-            checkpoint=checkpoint, pipeline=pipeline,
-            max_inflight_shards=max_inflight_shards)
+            self.transport, collection_time, k=k, batch_size=batch_size,
+            checkpoint=checkpoint, pipeline=False)
 
     async def collect_all_async(self, k: Optional[int] = None,
                                 collection_time: Optional[float] = None,
                                 batch_size: int = DEFAULT_BATCH_SIZE,
-                                max_workers: Optional[int] = None,
                                 checkpoint: bool = True,
                                 max_inflight_shards: int =
                                 DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
         """Awaitable :meth:`collect_all` — the fleet's async pipeline.
 
         Only available on single-verifier fleets;
-        :class:`ShardedFleetVerifier` rounds already run their own
-        loops (or threads) and are driven through the synchronous
-        :meth:`collect_all`.
+        :class:`ShardedFleetVerifier` rounds run their own event loop
+        and are driven through the synchronous :meth:`collect_all`.
         """
         if not isinstance(self.verifier, FleetVerifier):
             raise TypeError("collect_all_async requires a single "
-                            "FleetVerifier; sharded fleets drive their own "
-                            "event loops through collect_all")
+                            "FleetVerifier; a sharded fleet drives its own "
+                            "event loop through collect_all")
         return await self.verifier.collect_all_async(
-            self.transport, collection_time, k=k,
-            batch_size=batch_size, max_workers=max_workers,
+            self.transport, collection_time, k=k, batch_size=batch_size,
             checkpoint=checkpoint, max_inflight_shards=max_inflight_shards)
 
     def close(self) -> None:

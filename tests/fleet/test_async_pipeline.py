@@ -43,7 +43,6 @@ def test_sync_adapter_wraps_in_process_transport():
     assert isinstance(adapted, SyncTransportAdapter)
     assert adapted.name == fleet.transport.name
     assert adapted.engine is fleet.engine
-    assert adapted.concurrent_collections
     request = fleet.verifier.create_collect_request().encode()
     responses = asyncio.run(adapted.exchange_many(
         {device_id: request for device_id in fleet.device_ids()}))

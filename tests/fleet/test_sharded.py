@@ -125,26 +125,23 @@ def test_sharded_shared_store_checkpoint_identical_to_single():
     assert sharded.health.flagged_devices == {"dev-0002"}
 
 
-def test_sharded_thread_mode_matches_loop_mode():
-    (loop_fleet, loop_rounds), _ = provision_pair(12, shards=3)
-    thread_fleet = Fleet.provision(small_profile(), 12,
-                                   master_secret=b"master", shards=3)
-    thread_fleet.verifier.worker_mode = "thread"
-    thread_fleet.run_until(80.0)
-    thread_reports = thread_fleet.collect_all()
-    assert [report_key(r) for r in loop_rounds[0]] == \
-        [report_key(r) for r in thread_reports]
-    assert health_bytes(loop_fleet.verifier) == \
-        health_bytes(thread_fleet.verifier)
+def test_thread_worker_mode_is_rejected():
+    with pytest.raises(ValueError, match="'loop' or 'process'"):
+        ShardedFleetVerifier(small_profile().config, worker_mode="thread")
+    with pytest.raises(ValueError, match="'loop' or 'process'"):
+        Fleet.provision(small_profile(), 2, master_secret=b"master",
+                        shards=2, worker_mode="thread")
 
 
-def test_sharded_thread_mode_rejects_engine_bound_transport():
-    fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
-                            shards=2, transport="simulated-network")
-    fleet.verifier.worker_mode = "thread"
+def test_sharded_fleet_rejects_the_sequential_reference_round():
+    """pipeline=False must not silently run the pipelined path."""
+    fleet = Fleet.provision(small_profile(), 4, master_secret=b"master",
+                            shards=2)
     fleet.run_until(60.0)
-    with pytest.raises(ValueError, match="worker_mode='loop'"):
-        fleet.collect_all()
+    with pytest.raises(ValueError, match="pipeline=False"):
+        fleet.collect_all(pipeline=False)
+    assert fleet.verifier.rounds_completed == 0
+    assert len(fleet.collect_all()) == 4
 
 
 def test_sharded_loop_mode_overlaps_simulated_network_rounds():
@@ -273,20 +270,6 @@ def test_more_workers_than_devices_counts_real_shards_only():
     # Two device-less workers must not invent shards in the merge.
     assert reports.stats.shards == 2
     assert reports.stats.requests_sent == 2
-
-
-def test_sharded_thread_mode_shares_one_sqlite_store(tmp_path):
-    """Worker threads must be able to write the shared SQLite store."""
-    from repro.store import SqliteStore
-
-    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, store=SqliteStore(tmp_path / "s.db"))
-    fleet.verifier.worker_mode = "thread"
-    fleet.run_until(60.0)
-    reports = fleet.collect_all()
-    assert len(reports) == 8
-    assert fleet.verifier.store.state_bytes()  # checkpoint written
-    fleet.close()
 
 
 class _LockProbeStore(MemoryStore):

@@ -206,6 +206,85 @@ def test_crash_round_health_counts_shard_devices_unseen():
 
 
 # ----------------------------------------------------------------------
+# Span traces through the shared round loop
+# ----------------------------------------------------------------------
+
+def traced_fleet(worker_mode, count=6, **kwargs):
+    from repro.obs import Observability
+
+    obs = Observability(seed=3)
+    fleet = Fleet.provision(small_profile(), count, master_secret=b"master",
+                            shards=2, worker_mode=worker_mode, obs=obs,
+                            **kwargs)
+    return fleet, obs
+
+
+def test_process_mode_traces_the_loop_mode_span_tree():
+    """Same round/shard spans as loop mode, minus per-device spans."""
+    traces = {}
+    for worker_mode in ("loop", "process"):
+        fleet, obs = traced_fleet(worker_mode)
+        try:
+            fleet.run_until(60.0)
+            fleet.collect_all(batch_size=2)
+        finally:
+            fleet.close()
+        traces[worker_mode] = obs.tracer.export_rows()
+    loop_spans = [row for row in traces["loop"]
+                  if row["kind"] != "device_verify"]
+    assert len(traces["loop"]) - len(loop_spans) == 6
+    assert traces["process"] == loop_spans
+    kinds = [row["kind"] for row in traces["process"]]
+    assert kinds.count("round") == 2
+    assert kinds.count("shard") == 4  # 3 devices per worker, batches of 2
+    for row in traces["process"]:
+        if row["kind"] == "shard":
+            attrs = row["attrs"]
+            assert attrs["received"] == attrs["devices"]
+            assert attrs["lost"] == 0
+        else:
+            assert row["attrs"]["reports"] == 3
+
+
+def test_crashed_worker_shard_span_records_every_device_lost():
+    fleet, obs = traced_fleet("process", allowed_missing=8)
+    try:
+        verifier = fleet.verifier
+        shard0 = [device_id for device_id in verifier.enrolled_ids()
+                  if verifier.shard_of(device_id) == 0]
+        fleet.run_until(60.0)
+        fleet.verifier.warm_up()
+        pool = verifier.worker_pool
+        pool.inject_crash(0)
+        reports = {r.device_id: r for r in fleet.collect_all()}
+        for device_id in shard0:
+            assert reports[device_id].status is DeviceStatus.NO_DATA
+            assert any("shard worker crashed" in anomaly
+                       for anomaly in reports[device_id].anomalies)
+        spans = {row["path"]: row for row in obs.tracer.export_rows()}
+        crashed = spans["round:1/worker:0/shard:0"]["attrs"]
+        assert crashed["devices"] == len(shard0)
+        assert crashed["lost"] == len(shard0)
+        assert crashed["received"] == 0
+        survivor = spans["round:1/worker:1/shard:0"]["attrs"]
+        assert survivor["lost"] == 0
+        assert spans["round:1/worker:0"]["attrs"]["reports"] == len(shard0)
+
+        # The slot rejoins next round: data-bearing reports, a clean span.
+        fleet.run_until(120.0)
+        rejoined = {r.device_id: r for r in fleet.collect_all()}
+        assert all(rejoined[device_id].status is DeviceStatus.HEALTHY
+                   for device_id in shard0)
+        assert pool.restarts[0] == 1
+        spans = {row["path"]: row for row in obs.tracer.export_rows()}
+        assert spans["round:2/worker:0/shard:0"]["attrs"]["lost"] == 0
+        assert not any(row["kind"] == "device_verify"
+                       for row in spans.values())
+    finally:
+        fleet.close()
+
+
+# ----------------------------------------------------------------------
 # Pool mechanics
 # ----------------------------------------------------------------------
 
