@@ -9,23 +9,22 @@ state in real time, and returns it.  There is no stored history, so:
 * every attestation costs the prover a full measurement while the
   verifier waits.
 
-The classes below deliberately mirror :class:`repro.core.prover.
-ErasmusProver` / :class:`repro.core.verifier.ErasmusVerifier` so the
-experiments can swap one for the other.
+The prover below deliberately mirrors :class:`repro.core.prover.
+ErasmusProver` so the experiments can swap one for the other; the
+verifier is an :class:`repro.core.verifier.ErasmusVerifier` that judges
+a lone fresh measurement instead of a history.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
-from repro.arch.base import MeasurementAborted, SecurityArchitecture, \
-    encode_timestamp
+from repro.arch.base import MeasurementAborted, SecurityArchitecture
 from repro.core.config import ErasmusConfig
 from repro.core.measurement import Measurement
 from repro.core.protocol import OnDemandRequest, OnDemandResponse
-from repro.core.verifier import DeviceStatus, MeasurementVerdict, \
+from repro.core.verifier import DeviceStatus, ErasmusVerifier, \
     VerificationReport
-from repro.crypto.mac import get_mac
 
 
 class OnDemandProver:
@@ -65,63 +64,46 @@ class OnDemandProver:
             self.architecture.mac_name, on_demand=True)
 
 
-class OnDemandVerifier:
-    """A verifier using only on-demand attestation."""
+class OnDemandVerifier(ErasmusVerifier):
+    """A verifier using only on-demand attestation.
 
-    def __init__(self, config: ErasmusConfig) -> None:
-        self.config = config
-        self.mac_algorithm = get_mac(config.mac_name)
-        self._keys: Dict[str, bytes] = {}
-        self._healthy_digests: Dict[str, set[bytes]] = {}
-        self.reports: list[VerificationReport] = []
-        self._request_counter = 0.0
+    Enrollment, request tags and the per-measurement verdict all come
+    from :class:`~repro.core.verifier.ErasmusVerifier` and the device's
+    :class:`~repro.core.verification.DeviceJudge`; only the judgement of
+    a lone fresh measurement (no history, so no schedule checks) is
+    specific to the baseline.
+    """
 
-    def enroll(self, device_id: str, key: bytes,
-               healthy_digests: Iterable[bytes]) -> None:
-        """Register a prover: its shared key and its known-good states."""
-        if not key:
-            raise ValueError("the shared key must be non-empty")
-        self._keys[device_id] = bytes(key)
-        self._healthy_digests[device_id] = {bytes(d) for d in healthy_digests}
-
-    def create_request(self, device_id: str,
-                       request_time: float) -> OnDemandRequest:
-        """Build an authenticated attestation request."""
-        key = self._keys[device_id]
-        if request_time <= self._request_counter:
-            request_time = self._request_counter + 1e-6
-        self._request_counter = request_time
-        tag = self.mac_algorithm.mac(key, encode_timestamp(request_time))
-        return OnDemandRequest(request_time=request_time, k=0, tag=tag)
+    def create_ondemand_request(self, device_id: str, request_time: float,
+                                k: int = 0) -> OnDemandRequest:
+        """Build an authenticated attestation request (no history)."""
+        return super().create_ondemand_request(device_id, request_time, k=k)
 
     def verify_response(self, device_id: str, request: OnDemandRequest,
                         response: OnDemandResponse,
                         collection_time: float) -> VerificationReport:
         """Verify the single fresh measurement returned by the prover."""
-        key = self._keys[device_id]
+        enrollment = self._enrollment_for(device_id)
         report = VerificationReport(device_id=device_id,
                                     collection_time=collection_time,
                                     status=DeviceStatus.HEALTHY)
-        if response.fresh is None:
+        fresh = response.fresh
+        if fresh is None:
             report.status = DeviceStatus.NO_DATA
             report.anomalies.append("prover returned no measurement")
-            self.reports.append(report)
-            return report
-        measurement = response.fresh
-        authentic = self.mac_algorithm.verify(
-            key, measurement.authenticated_payload(), measurement.tag)
-        # Public whitelist membership; the MAC check above is the
-        # authentication decision.
-        # statics: ok(constant-time)
-        healthy = measurement.digest in self._healthy_digests[device_id]
-        verdict = MeasurementVerdict(measurement=measurement,
-                                     authentic=authentic, healthy=healthy)
-        report.verdicts.append(verdict)
-        report.freshness = collection_time - measurement.timestamp
-        if not authentic or measurement.timestamp + 1e-6 < request.request_time:
+            return self._commit(report)
+        report.verdicts = self._judge_for(enrollment).verdicts(
+            enrollment, [fresh], collection_time)
+        verdict = report.verdicts[0]
+        report.freshness = collection_time - fresh.timestamp
+        if not verdict.authentic or fresh.timestamp + 1e-6 < \
+                request.request_time:
             report.status = DeviceStatus.TAMPERED
             report.anomalies.append("fresh measurement is invalid or stale")
-        elif not healthy:
+        elif verdict.from_future:
+            report.status = DeviceStatus.TAMPERED
+            report.anomalies.append(
+                "fresh measurement is timestamped in the future")
+        elif not verdict.healthy:
             report.status = DeviceStatus.INFECTED
-        self.reports.append(report)
-        return report
+        return self._commit(report)

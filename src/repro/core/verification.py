@@ -3,17 +3,17 @@
 This module is the policy-and-crypto half of the verifier role, split
 out so the same checks can back any enrollment store:
 
-* :class:`ErasmusVerifier` (:mod:`repro.core.verifier`) keeps the
-  original one-object API for single-device walkthroughs;
-* :class:`repro.fleet.FleetVerifier` runs the same core over thousands
-  of enrolled provers with batched collections.
-
-:class:`VerificationCore` holds only deployment policy (the config, the
-schedule tolerance, the missing-measurement allowance) and the resolved
-crypto primitives.  Per-device state — the shared key, the known-good
-digests, the newest timestamp already seen — is passed *into* every
-call, so a single core instance can verify any number of devices from
-any number of threads concurrently.
+* :class:`VerificationCore` holds only deployment policy (the config,
+  the schedule tolerance, the missing-measurement allowance) and the
+  resolved crypto primitives;
+* :class:`DeviceJudge` is the one place measurements become verdicts:
+  it binds one device key to the core and judges collections and
+  ERASMUS+OD responses.  Per-device state — the known-good digests,
+  the newest timestamp already seen — is passed *into* every call;
+* :class:`BaseVerifier` keeps enrollments and a judge per device for
+  the front ends: :class:`repro.core.ErasmusVerifier` for
+  single-device walkthroughs and :class:`repro.fleet.FleetVerifier`
+  for batched collection over thousands of provers.
 """
 
 from __future__ import annotations
@@ -284,22 +284,8 @@ class VerificationCore:
                                       backend=self.crypto_backend)
 
     # ------------------------------------------------------------------
-    # Per-measurement checks
+    # Schedule checks
     # ------------------------------------------------------------------
-    def verdict(self, enrollment: Enrollment, measurement: Measurement,
-                collection_time: float) -> MeasurementVerdict:
-        """Judge one measurement: MAC, known-good digest, plausibility."""
-        authentic = self.mac_algorithm.verify(
-            enrollment.key, measurement.authenticated_payload(),
-            measurement.tag, backend=self.crypto_backend)
-        # Whitelist membership over public known-good software states;
-        # authenticity is decided by the MAC check above, not by this.
-        # statics: ok(constant-time)
-        healthy = measurement.digest in enrollment.healthy_digests
-        from_future = measurement.timestamp > collection_time + 1e-6
-        return MeasurementVerdict(measurement=measurement, authentic=authentic,
-                                  healthy=healthy, from_future=from_future)
-
     def _expected_interval(self) -> float:
         """The schedule spacing gaps are judged against (``U`` if irregular)."""
         if self.config.irregular_upper is not None:
@@ -343,47 +329,86 @@ class VerificationCore:
             previous = timestamp
         return missing, anomalies
 
-    # ------------------------------------------------------------------
-    # Whole-collection verification
-    # ------------------------------------------------------------------
+    @staticmethod
+    def advance_last_seen(report: VerificationReport,
+                          last_seen: Optional[float]) -> Optional[float]:
+        """The newest-seen timestamp after accepting ``report``."""
+        newest = report.newest_timestamp
+        return last_seen if newest is None else newest
+
+    def device_judge(self, key: bytes) -> "DeviceJudge":
+        """The judge for one device key under this core's policy."""
+        return DeviceJudge(self, key)
+
+
+class DeviceJudge:
+    """The one verdict loop: judges one device's collections.
+
+    Every verifier front end turns measurements into verdicts here.
+    The MAC construction is resolved once through the core's crypto
+    backend with the device key pre-bound, and tags are compared with
+    the backend's own constant-time comparison.  Running a judge on the
+    ``reference`` backend is the reference path; the cross-backend
+    tests pin both backends to identical reports.  Judges are cheap to
+    build and safe to reuse across rounds as long as the device keeps
+    the same key (re-enrollment must discard the judge).
+    """
+
+    __slots__ = ("core", "key", "_mac", "_compare")
+
+    def __init__(self, core: VerificationCore, key: bytes) -> None:
+        self.core = core
+        self.key = key
+        backend = core.crypto_backend
+        algorithm = core.mac_algorithm
+        try:
+            self._mac = backend.mac_function(algorithm.name, key)
+        except ValueError:
+            # A MAC registered via register_mac() that the backend has
+            # no native construction for (e.g. a custom/truncated MAC):
+            # fall back to the algorithm's own dispatch, which knows
+            # its reference mac_fn.
+            self._mac = lambda data: algorithm.mac(key, data,
+                                                   backend=backend)
+        self._compare = backend.compare_digests
+
+    def verdicts(self, enrollment: Enrollment,
+                 measurements: Iterable[Measurement],
+                 collection_time: float) -> List[MeasurementVerdict]:
+        """Judge each measurement: MAC, known-good digest, plausibility."""
+        mac, compare = self._mac, self._compare
+        digests = enrollment.healthy_digests
+        horizon = collection_time + 1e-6
+        return [MeasurementVerdict(
+            measurement=measurement,
+            authentic=compare(mac(measurement.authenticated_payload()),
+                              measurement.tag),
+            # statics: ok(constant-time) — public whitelist membership
+            healthy=measurement.digest in digests,
+            from_future=measurement.timestamp > horizon)
+            for measurement in measurements]
+
     def verify_measurements(self, enrollment: Enrollment,
                             measurements: List[Measurement],
-                            collection_time: float,
-                            expect_nonempty: bool = True
-                            ) -> VerificationReport:
+                            collection_time: float) -> VerificationReport:
         """Verify one measurement history against the enrollment facts.
 
-        This is the pure core of ``verify_collection``: no internal
-        state is read or written, so callers own all bookkeeping (report
-        history, newest-seen timestamps).
+        No verifier state is read or written, so callers own all
+        bookkeeping (report history, newest-seen timestamps).  An empty
+        history is itself an anomaly: a prover always holds records.
         """
+        core = self.core
         report = VerificationReport(device_id=enrollment.device_id,
                                     collection_time=collection_time,
                                     status=DeviceStatus.HEALTHY)
         if not measurements:
-            report.status = DeviceStatus.NO_DATA if not expect_nonempty \
-                else DeviceStatus.TAMPERED
-            if expect_nonempty:
-                report.anomalies.append("prover returned no measurements")
+            report.status = DeviceStatus.TAMPERED
+            report.anomalies.append("prover returned no measurements")
             return report
-
-        for measurement in measurements:
-            report.verdicts.append(
-                self.verdict(enrollment, measurement, collection_time))
-        return self._assess(report, enrollment, collection_time)
-
-    def _assess(self, report: VerificationReport, enrollment: Enrollment,
-                collection_time: float) -> VerificationReport:
-        """Judge a report whose per-measurement verdicts are filled in.
-
-        Shared by the reference path (:meth:`verify_measurements`) and
-        the precompiled fast path (:class:`DeviceJudge`), so the two can
-        only ever differ in how the verdicts were computed — which the
-        equivalence tests pin to "not at all".
-        """
-        timestamps = [verdict.measurement.timestamp
-                      for verdict in report.verdicts]
-        report.missing_intervals, schedule_anomalies = self.check_schedule(
+        report.verdicts = self.verdicts(enrollment, measurements,
+                                        collection_time)
+        timestamps = [measurement.timestamp for measurement in measurements]
+        report.missing_intervals, schedule_anomalies = core.check_schedule(
             sorted(timestamps), enrollment.last_seen)
         report.anomalies.extend(schedule_anomalies)
         report.freshness = collection_time - max(timestamps)
@@ -391,8 +416,8 @@ class VerificationCore:
         # Stale tail: the newest record should not be older than one
         # (tolerated) measurement interval — otherwise the most recent
         # measurements were deleted or silently skipped.
-        expected_interval = self._expected_interval()
-        allowed_age = expected_interval * (1 + self.schedule_tolerance)
+        expected_interval = core._expected_interval()
+        allowed_age = expected_interval * (1 + core.schedule_tolerance)
         if report.freshness > allowed_age:
             report.missing_intervals += max(
                 1, int(report.freshness / expected_interval) - 1)
@@ -413,14 +438,14 @@ class VerificationCore:
                     f"{len(future)} measurement(s) are timestamped in the future")
         elif infected:
             report.status = DeviceStatus.INFECTED
-        elif report.missing_intervals > self.allowed_missing:
+        elif report.missing_intervals > core.allowed_missing:
             # Gaps without other anomalies: measurements were deleted or
             # skipped beyond what the deployment policy tolerates.  The
             # paper treats unexplained absence as self-incriminating.
             report.status = DeviceStatus.TAMPERED
             report.anomalies.append(
                 f"{report.missing_intervals} expected measurement(s) missing "
-                f"(policy allows {self.allowed_missing})")
+                f"(policy allows {core.allowed_missing})")
         return report
 
     def verify_ondemand(self, enrollment: Enrollment,
@@ -437,8 +462,7 @@ class VerificationCore:
         if response.fresh is not None:
             measurements = [response.fresh] + measurements
         report = self.verify_measurements(enrollment, measurements,
-                                          collection_time,
-                                          expect_nonempty=True)
+                                          collection_time)
         if response.fresh is None:
             report.anomalies.append("prover returned no fresh measurement")
             report.status = DeviceStatus.TAMPERED
@@ -448,85 +472,6 @@ class VerificationCore:
             report.status = DeviceStatus.TAMPERED
         return report
 
-    @staticmethod
-    def advance_last_seen(report: VerificationReport,
-                          last_seen: Optional[float]) -> Optional[float]:
-        """The newest-seen timestamp after accepting ``report``."""
-        newest = report.newest_timestamp
-        return last_seen if newest is None else newest
-
-    def device_judge(self, key: bytes) -> "DeviceJudge":
-        """Precompile the per-device fast verification path.
-
-        Binds the MAC construction and the device key into one closure
-        through the resolved crypto backend, so a collection pipeline
-        verifying thousands of measurements under the same key skips
-        the per-call registry and backend dispatch that
-        :meth:`verdict` pays.  The reference path stays as the ground
-        truth; both produce identical reports.
-        """
-        return DeviceJudge(self, key)
-
-
-class DeviceJudge:
-    """Fast verification of one device's collections under a fixed key.
-
-    The policy checks are the shared :meth:`VerificationCore._assess`;
-    only the per-measurement verdict loop is specialized — MAC closure
-    with the key pre-bound, provider-native tag comparison, and the
-    digest whitelist consulted without attribute chasing.  Judges are
-    cheap to build and safe to reuse across rounds as long as the
-    device keeps the same key (re-enrollment must discard the judge).
-    """
-
-    __slots__ = ("core", "key", "_mac", "_compare")
-
-    def __init__(self, core: VerificationCore, key: bytes) -> None:
-        self.core = core
-        self.key = key
-        backend = core.crypto_backend
-        algorithm = core.mac_algorithm
-        try:
-            self._mac = backend.mac_function(algorithm.name, key)
-        except ValueError:
-            # A MAC registered via register_mac() that the backend has
-            # no native construction for (e.g. a custom/truncated MAC):
-            # fall back to the algorithm's own dispatch, which knows
-            # its reference mac_fn — slower, but every enrolled config
-            # that verifies on the reference path verifies here too.
-            self._mac = lambda data: algorithm.mac(key, data,
-                                                   backend=backend)
-        self._compare = backend.compare_digests
-
-    def verify_measurements(self, enrollment: Enrollment,
-                            measurements: List[Measurement],
-                            collection_time: float,
-                            expect_nonempty: bool = True
-                            ) -> VerificationReport:
-        """Drop-in fast equivalent of ``core.verify_measurements``."""
-        report = VerificationReport(device_id=enrollment.device_id,
-                                    collection_time=collection_time,
-                                    status=DeviceStatus.HEALTHY)
-        if not measurements:
-            report.status = DeviceStatus.NO_DATA if not expect_nonempty \
-                else DeviceStatus.TAMPERED
-            if expect_nonempty:
-                report.anomalies.append("prover returned no measurements")
-            return report
-        mac, compare = self._mac, self._compare
-        digests = enrollment.healthy_digests
-        horizon = collection_time + 1e-6
-        append = report.verdicts.append
-        for measurement in measurements:
-            append(MeasurementVerdict(
-                measurement=measurement,
-                authentic=compare(mac(measurement.authenticated_payload()),
-                                  measurement.tag),
-                # statics: ok(constant-time) — public whitelist membership
-                healthy=measurement.digest in digests,
-                from_future=measurement.timestamp > horizon))
-        return self.core._assess(report, enrollment, collection_time)
-
 
 class BaseVerifier:
     """Shared enrollment store and bookkeeping for verifier front ends.
@@ -535,7 +480,7 @@ class BaseVerifier:
     and the fleet-scale :class:`repro.fleet.FleetVerifier` subclass
     this: they keep :class:`Enrollment` records per device, advance the
     newest-seen timestamp after every accepted report, and delegate all
-    judgement to the stateless :class:`VerificationCore`.
+    judgement to one cached :class:`DeviceJudge` per device.
 
     ``store`` is an optional :class:`repro.store.StateStore`: every
     enrollment and every last-seen advance is written through to it, so
@@ -559,6 +504,9 @@ class BaseVerifier:
         # on last-seen advances); worker pools key their enrollment
         # mirrors on this so re-syncs only happen when material changed.
         self._enrollment_epoch = 0
+        # Per-device judges (see DeviceJudge); rebuilt transparently if
+        # a re-enrollment replaces a device's key.
+        self._judges: Dict[str, DeviceJudge] = {}
 
     # Policy attributes kept readable for existing callers/tests.
     @property
@@ -631,6 +579,15 @@ class BaseVerifier:
         except KeyError as exc:
             raise KeyError(f"device {device_id!r} is not enrolled") from exc
 
+    def _judge_for(self, enrollment: Enrollment) -> DeviceJudge:
+        """The device's cached judge, rebuilt on key change."""
+        judge = self._judges.get(enrollment.device_id)
+        if judge is None or not self.crypto_backend.compare_digests(
+                judge.key, enrollment.key):
+            judge = self.core.device_judge(enrollment.key)
+            self._judges[enrollment.device_id] = judge
+        return judge
+
     # ------------------------------------------------------------------
     # Requests and bookkeeping
     # ------------------------------------------------------------------
@@ -644,9 +601,8 @@ class BaseVerifier:
                           collection_time: float) -> VerificationReport:
         """Verify a plain ERASMUS collection (Figure 2, verifier side)."""
         enrollment = self._enrollment_for(device_id)
-        report = self.core.verify_measurements(
-            enrollment, list(response.measurements), collection_time,
-            expect_nonempty=True)
+        report = self._judge_for(enrollment).verify_measurements(
+            enrollment, list(response.measurements), collection_time)
         return self._commit(report)
 
     def _commit(self, report: VerificationReport) -> VerificationReport:

@@ -14,13 +14,14 @@ schedule.  During a collection it:
   this is what lets ERASMUS detect mobile malware that has already left;
 * computes freshness (collection time minus newest timestamp).
 
-The checks themselves live in the stateless
-:class:`repro.core.verification.VerificationCore`, and enrollment
+The checks themselves live in
+:class:`repro.core.verification.DeviceJudge`, and enrollment
 bookkeeping in :class:`repro.core.verification.BaseVerifier`; this
 class is the thin stateful shim that keeps the original hand-wired API
-working.  New code — anything managing more than a handful of devices —
-should use :class:`repro.fleet.FleetVerifier`, which runs the same core
-with batched collections, transports and report sinks.
+working and records every report.  New code — anything managing more
+than a handful of devices — should use :class:`repro.fleet.
+FleetVerifier`, which runs the same judges with batched collections,
+transports and report sinks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store.base import StateStore
 
 from repro.core.config import ErasmusConfig
-from repro.core.measurement import Measurement
 from repro.core.protocol import OnDemandRequest, OnDemandResponse
 from repro.core.verification import (
     BaseVerifier,
@@ -93,19 +93,8 @@ class ErasmusVerifier(BaseVerifier):
                         collection_time: float) -> VerificationReport:
         """Verify an ERASMUS+OD response (Figure 4, verifier side)."""
         enrollment = self._enrollment_for(device_id)
-        report = self.core.verify_ondemand(enrollment, request, response,
-                                           collection_time)
-        return self._commit(report)
-
-    def _verify_measurements(self, device_id: str,
-                             measurements: List[Measurement],
-                             collection_time: float,
-                             expect_nonempty: bool) -> VerificationReport:
-        """Compatibility hook mirroring the pre-refactor private API."""
-        enrollment = self._enrollment_for(device_id)
-        report = self.core.verify_measurements(enrollment, measurements,
-                                               collection_time,
-                                               expect_nonempty=expect_nonempty)
+        report = self._judge_for(enrollment).verify_ondemand(
+            enrollment, request, response, collection_time)
         return self._commit(report)
 
     def _commit(self, report: VerificationReport) -> VerificationReport:

@@ -25,10 +25,9 @@ DEFAULT_TRANSPORTS: Sequence[str] = ("in-process", "simulated-network",
                                      "swarm-relay")
 
 #: Collection-path variants compared by :func:`run_concurrency_comparison`:
-#: ``sync-baseline`` is the strictly sequential reference path (the PR 2
-#: devices/second ceiling), ``async`` the pipelined ``collect_all``
-#: default, ``sharded`` the :class:`repro.fleet.ShardedFleetVerifier`.
-COLLECTION_MODES: Sequence[str] = ("sync-baseline", "async", "sharded")
+#: ``async`` is the single-verifier ``collect_all`` default, ``sharded``
+#: the :class:`repro.fleet.ShardedFleetVerifier`.
+COLLECTION_MODES: Sequence[str] = ("async", "sharded")
 
 #: Store backends compared by :func:`run_store_comparison`; ``baseline``
 #: is a plain provision call (the :class:`MemoryStore` default path).
@@ -92,7 +91,7 @@ def run_round(transport: str, device_count: int,
         # does not land inside whichever mode happens to trigger it.
         gc.collect()
         measured = time.perf_counter()
-        reports = fleet.collect_all(pipeline=(mode != "sync-baseline"))
+        reports = fleet.collect_all()
         finished = time.perf_counter()
         sim_round_trip = fleet.now - horizon
     finally:
@@ -136,9 +135,8 @@ def run_concurrency_comparison(device_count: int = 1000,
 
     Provisioning is deterministic (profile plus master secret), so each
     mode collects an identical fleet with identical measurement
-    histories — the rows differ only in how the round is driven:
-    sequential reference loop, pipelined ``collect_all``, or the
-    sharded verifier.  Each row is the best of ``repeats`` attempts
+    histories — the rows differ only in how the round is driven: one
+    verifier's ``collect_all`` or the sharded verifier.  Each row is the best of ``repeats`` attempts
     (fresh fleet per attempt), the same best-of policy as
     :func:`run_store_comparison`: a collection round lasts ~100 ms, so
     a single stray gen-2 GC pause otherwise dominates the row.
@@ -165,11 +163,11 @@ def run_concurrency_comparison(device_count: int = 1000,
 
 def format_concurrency_table(rows: List[Dict[str, object]]) -> str:
     """Render the collection-path comparison as a fixed-width table."""
-    baseline = next((row for row in rows if row["mode"] == "sync-baseline"),
+    baseline = next((row for row in rows if row["mode"] == "async"),
                     rows[0])
     baseline_rate = float(baseline["collect_devices_per_second"])
     header = (f"{'mode':<14} {'devices':>8} {'shards':>7} {'collect (s)':>12} "
-              f"{'collect dev/s':>14} {'vs baseline':>12}")
+              f"{'collect dev/s':>14} {'vs async':>12}")
     lines = [header, "-" * len(header)]
     for row in rows:
         relative = float(row["collect_devices_per_second"]) / baseline_rate \

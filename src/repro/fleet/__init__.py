@@ -13,8 +13,9 @@ attestation as a many-device service rather than a pairwise exchange:
   :class:`AsyncTransport` seam (:func:`as_async_transport`) the
   collection pipeline drives;
 * :mod:`repro.fleet.service` — :class:`FleetVerifier` (an async-first
-  ``collect_all`` pipeline over the stateless verification core, with
-  the synchronous call kept as a thin shim), the
+  ``collect_all`` round judging every response with the device's
+  :class:`~repro.core.verification.DeviceJudge`, with the synchronous
+  call kept as a thin shim), the
   :class:`ShardedFleetVerifier` (N shard workers, merged
   :class:`FleetHealth`) and the :class:`Fleet` facade;
 * :mod:`repro.fleet.sinks` — pluggable report sinks (in-memory, JSONL,

@@ -10,9 +10,9 @@ This is the canonical public API for running ERASMUS at fleet scale:
   from a :class:`DeviceProfile`, wire them to a transport and a shared
   simulation engine, and expose ``run_until`` / ``collect_all``.
 
-The verification itself is the stateless
-:class:`repro.core.verification.VerificationCore`, shared with the
-legacy single-device :class:`repro.core.ErasmusVerifier`.
+Every response is judged by the device's
+:class:`repro.core.verification.DeviceJudge`, the same verdict loop
+the single-device :class:`repro.core.ErasmusVerifier` runs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.core.protocol import (
 )
 from repro.core.verification import (
     BaseVerifier,
-    DeviceJudge,
     DeviceStatus,
     DuplicateEnrollmentError,
     VerificationReport,
@@ -166,17 +165,16 @@ class FleetVerifier(BaseVerifier):
     the loop commits the shards' reports in shard order.  There are two
     verify steps, chosen per verifier:
 
-    * inline (the default) — the shard is judged in this process
-      through the precompiled per-device fast path, and every report
-      is committed through :meth:`_commit`;
+    * inline (the default) — the shard is judged in this process, and
+      every report is committed through :meth:`_commit`;
     * worker process — once a process-mode
       :class:`ShardedFleetVerifier` binds this verifier to a pool slot,
       the shard ships to that worker process, and its report rows come
       back through :meth:`apply_worker_batch`; a crashed worker turns
       the shard into ``NO_DATA`` reports counted as lost.
 
-    :meth:`collect_all` is the synchronous shim over that loop, plus
-    the ``pipeline=False`` sequential reference round.
+    Both steps run :meth:`_verify_payload`.  :meth:`collect_all` is
+    the synchronous shim over the loop.
     """
 
     def __init__(self, config: ErasmusConfig,
@@ -199,10 +197,6 @@ class FleetVerifier(BaseVerifier):
         # fractions of one fleet round, which the sharded collect_all
         # records once, merged, instead.
         self._obs_record_rounds = True
-        # Per-device precompiled fast verification paths (see
-        # DeviceJudge); rebuilt transparently if a re-enrollment
-        # replaces a device's key.
-        self._judges: Dict[str, DeviceJudge] = {}
         # (pool, slot) once a process-mode ShardedFleetVerifier binds
         # this verifier to a worker process; selects the verify step.
         self._worker_slot: Optional[Tuple[WorkerPool, int]] = None
@@ -316,37 +310,16 @@ class FleetVerifier(BaseVerifier):
                         collection_time: float) -> VerificationReport:
         """Judge one raw transport response (``None`` = never answered).
 
-        This is the reference path (per-call MAC dispatch); the
-        pipelined round uses :meth:`_verify_payload_fast`, which
-        produces identical reports through the precompiled judge.
+        The one per-device verify step: the inline shard step and the
+        worker processes (:mod:`repro.fleet.workers`) both call it.
         """
         enrollment = self._enrollment_for(device_id)
         report, measurements = self._decode_collection(
             device_id, payload, collection_time)
         if report is not None:
             return report
-        return self.core.verify_measurements(
-            enrollment, measurements, collection_time, expect_nonempty=True)
-
-    def _judge_for(self, device_id: str, enrollment) -> DeviceJudge:
-        """The device's cached fast path, rebuilt on key change."""
-        judge = self._judges.get(device_id)
-        if judge is None or not self.crypto_backend.compare_digests(
-                judge.key, enrollment.key):
-            judge = self.core.device_judge(enrollment.key)
-            self._judges[device_id] = judge
-        return judge
-
-    def _verify_payload_fast(self, device_id: str, payload: Optional[bytes],
-                             collection_time: float) -> VerificationReport:
-        """Fast-path twin of :meth:`_verify_payload` (same reports)."""
-        enrollment = self._enrollment_for(device_id)
-        report, measurements = self._decode_collection(
-            device_id, payload, collection_time)
-        if report is not None:
-            return report
-        return self._judge_for(device_id, enrollment).verify_measurements(
-            enrollment, measurements, collection_time, expect_nonempty=True)
+        return self._judge_for(enrollment).verify_measurements(
+            enrollment, measurements, collection_time)
 
     def _commit(self, report: VerificationReport, *,
                 fold: bool = True) -> VerificationReport:
@@ -419,7 +392,7 @@ class FleetVerifier(BaseVerifier):
     # ------------------------------------------------------------------
     def _round_prologue(self, transport, collection_time, device_ids,
                         batch_size, k):
-        """Validation and setup shared by every round flavour."""
+        """Validate a round's arguments; resolve its devices and request."""
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
         engine = getattr(transport, "engine", None)
@@ -459,27 +432,18 @@ class FleetVerifier(BaseVerifier):
                     device_ids: Optional[Iterable[str]] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
                     checkpoint: bool = True,
-                    pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
                     ) -> RoundReports:
         """Run one collection round over (a subset of) the fleet.
 
-        A thin synchronous shim: by default it drives the awaitable
-        :meth:`collect_all_async` pipeline to completion on a private
+        A thin synchronous shim: it drives the awaitable
+        :meth:`collect_all_async` round to completion on a private
         event loop, so wire exchange, verification and sink fan-out
         overlap per shard.  Reports come back as a plain list (with the
         round's :class:`~repro.fleet.sinks.RoundStats` on ``.stats``),
-        committed in deterministic device order exactly as the
-        historical synchronous implementation did.
+        committed in deterministic device order.
 
-        ``pipeline=False`` selects the reference implementation
-        instead: strictly sequential batches through the per-call MAC
-        dispatch path, each batch barriering on its exchange before any
-        verification starts.  It exists as the behavioural yardstick
-        (the PR 2 devices/second ceiling) and as the fallback for
-        callers that cannot enter an event loop.
-
-        With ``collection_time=None`` (the default) each batch is
+        With ``collection_time=None`` (the default) each shard is
         verified at the transport engine's clock *after* its exchange,
         so measurements taken while packets were in flight are never
         misjudged as "from the future".  Pass an explicit time only for
@@ -492,54 +456,11 @@ class FleetVerifier(BaseVerifier):
         False``, a finished round also folds the verifier state into a
         store snapshot (see :meth:`checkpoint`).
         """
-        if pipeline:
-            _ensure_no_running_loop("await collect_all_async(...) instead")
-            return asyncio.run(self.collect_all_async(
-                transport, collection_time, k=k, device_ids=device_ids,
-                batch_size=batch_size, checkpoint=checkpoint,
-                max_inflight_shards=max_inflight_shards))
-
-        engine, ids, request_bytes = self._round_prologue(
-            transport, collection_time, device_ids, batch_size, k)
-        stale_before = getattr(transport, "stale_responses_rejected", 0)
-        started = _time.perf_counter()
-        reports = RoundReports()
-        stats = RoundStats()
-        try:
-            self._run_round_sequential(transport, ids, request_bytes,
-                                       collection_time, engine, batch_size,
-                                       reports, stats)
-        except BaseException:
-            # The fanout closed the sinks so nothing buffered was lost;
-            # drop the closed ones so a retry round on this verifier
-            # streams to the survivors instead of raising on dead sinks.
-            self.sinks = [sink for sink in self.sinks if not sink.closed]
-            raise
-        return self._finish_round(reports, stats, transport, stale_before,
-                                  started, checkpoint)
-
-    def _run_round_sequential(self, transport: Transport, ids: List[str],
-                              request_bytes: bytes,
-                              collection_time: Optional[float],
-                              engine, batch_size: int,
-                              reports: List[VerificationReport],
-                              stats: RoundStats) -> None:
-        """The reference round: sequential batches, inside the fan-out."""
-        with SinkFanout(self.sinks):
-            for start in range(0, len(ids), batch_size):
-                batch = ids[start:start + batch_size]
-                stats.shards += 1
-                responses = transport.exchange_many(
-                    {device_id: request_bytes for device_id in batch})
-                self._count_batch(stats, batch, responses)
-                batch_time = collection_time if collection_time is not None \
-                    else engine.now
-                batch_reports = [
-                    self._verify_payload(device_id, responses.get(device_id),
-                                         batch_time)
-                    for device_id in batch]
-                for report in batch_reports:
-                    reports.append(self._commit(report))
+        _ensure_no_running_loop("await collect_all_async(...) instead")
+        return asyncio.run(self.collect_all_async(
+            transport, collection_time, k=k, device_ids=device_ids,
+            batch_size=batch_size, checkpoint=checkpoint,
+            max_inflight_shards=max_inflight_shards))
 
     @staticmethod
     def _count_batch(stats: RoundStats, batch: List[str],
@@ -568,18 +489,16 @@ class FleetVerifier(BaseVerifier):
         its verify step as soon as *its* exchange settles, while later
         shards' packets are still on the wire.  Commits (store journal,
         health aggregate, sink fan-out) happen in shard order, so the
-        report list is deterministic, in the same device order as the
-        sequential reference path.  The verify step is inline by
-        default, or a worker process once a sharded verifier bound this
-        verifier to a pool slot (see the class docstring).
+        report list is deterministic, in device order.  The verify step
+        is inline by default, or a worker process once a sharded
+        verifier bound this verifier to a pool slot (see the class
+        docstring).
 
         On an engine-clock transport the overlap is visible in the
-        stamps: shards launch together instead of barriering, so a
-        shard's ``collection_time`` (engine clock at *its* settlement)
-        is generally earlier than the sequential path would have
-        stamped it — fresher, never staler.  On engineless or
-        in-process transports the reports are identical to
-        ``pipeline=False``.
+        stamps: a shard's ``collection_time`` is the engine clock at
+        *its* settlement, so it depends on ``batch_size`` and
+        ``max_inflight_shards``.  On engineless or in-process
+        transports the reports do not depend on either.
 
         ``transport`` may be a synchronous :class:`Transport` (adapted
         automatically), an :class:`~repro.fleet.transport.
@@ -682,11 +601,11 @@ class FleetVerifier(BaseVerifier):
                                    ) -> _ShardOutcome:
         """Verify step judging a settled shard here, between awaits.
 
-        Runs the precompiled per-device fast path; returns the
-        responses (for the received/lost count) and the step that
-        commits the reports through :meth:`_commit`.
+        Runs :meth:`_verify_payload` per device; returns the responses
+        (for the received/lost count) and the step that commits the
+        reports through :meth:`_commit`.
         """
-        verify = self._verify_payload_fast
+        verify = self._verify_payload
         obs = self.obs
         if obs.enabled:
             # Wall time goes only to the histogram — spans carry
@@ -1327,29 +1246,17 @@ class Fleet:
                     collection_time: Optional[float] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
                     checkpoint: bool = True,
-                    pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
                     ) -> RoundReports:
         """Run one collection round over the whole fleet.
 
-        ``collection_time=None`` stamps each batch at the engine clock
+        ``collection_time=None`` stamps each shard at the engine clock
         after its exchange (see :meth:`FleetVerifier.collect_all`).
-        ``pipeline=False`` (the sequential reference round) exists only
-        on a single-verifier fleet; a sharded fleet raises
-        :class:`ValueError` rather than silently pipelining.
         """
-        if pipeline:
-            return self.verifier.collect_all(
-                self.transport, collection_time, k=k,
-                batch_size=batch_size, checkpoint=checkpoint,
-                max_inflight_shards=max_inflight_shards)
-        if not isinstance(self.verifier, FleetVerifier):
-            raise ValueError("pipeline=False is the single-verifier "
-                             "reference round; a sharded fleet always runs "
-                             "its shard workers' pipelines")
         return self.verifier.collect_all(
-            self.transport, collection_time, k=k, batch_size=batch_size,
-            checkpoint=checkpoint, pipeline=False)
+            self.transport, collection_time, k=k,
+            batch_size=batch_size, checkpoint=checkpoint,
+            max_inflight_shards=max_inflight_shards)
 
     async def collect_all_async(self, k: Optional[int] = None,
                                 collection_time: Optional[float] = None,

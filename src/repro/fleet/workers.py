@@ -2,9 +2,9 @@
 
 A :class:`WorkerPool` spawns N worker processes, each running
 :func:`_worker_main`: a headless verification core (the same
-:class:`~repro.fleet.service.FleetVerifier` fast path the in-process
-shards use) fed over a ``multiprocessing`` pipe with a compact binary
-task codec.  The parent keeps all authoritative state — enrollments,
+:meth:`~repro.fleet.service.FleetVerifier._verify_payload` the
+in-process shards use) fed over a ``multiprocessing`` pipe with a
+compact binary task codec.  The parent keeps all authoritative state — enrollments,
 the :class:`~repro.store.StateStore`, sinks, observability — and ships
 each worker only what a task needs:
 
@@ -242,7 +242,7 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
                             last_seen=last_seen)
                         verifier._enrollments[device_id] = enrollment
                     started = perf() if want_timings else 0.0
-                    report = verifier._verify_payload_fast(
+                    report = verifier._verify_payload(
                         device_id, payload, collection_time)
                     if timings is not None:
                         timings.append(perf() - started)

@@ -1,17 +1,45 @@
 """Tests for ERASMUS+OD and the on-demand attestation baseline."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.arch.base import hash_for_mac
+from repro.arch.base import encode_timestamp, hash_for_mac
 from repro.core import (
     DeviceStatus,
     ErasmusProver,
     ErasmusVerifier,
+    Measurement,
     OnDemandProver,
     OnDemandRequest,
+    OnDemandResponse,
     OnDemandVerifier,
 )
+from repro.crypto.backend import AcceleratedBackend, register_backend
+from repro.crypto.mac import get_mac
 from repro.sim import SimulationEngine
+
+
+class _CountingBackend(AcceleratedBackend):
+    """The accelerated backend, counting the MACs routed through it."""
+
+    name = "counting-test"
+
+    def __init__(self) -> None:
+        self.macs = 0
+        self.bound_macs = 0
+
+    def mac(self, mac_name, key, data):
+        self.macs += 1
+        return super().mac(mac_name, key, data)
+
+    def mac_function(self, mac_name, key):
+        inner = super().mac_function(mac_name, key)
+
+        def counted(data):
+            self.bound_macs += 1
+            return inner(data)
+        return counted
 
 
 class TestErasmusPlusOD:
@@ -84,7 +112,7 @@ class TestOnDemandBaseline:
 
     def test_valid_attestation(self, ondemand_setup):
         prover, verifier, _arch = ondemand_setup
-        request = verifier.create_request("od-dev", 10.0)
+        request = verifier.create_ondemand_request("od-dev", 10.0)
         response = prover.handle_request(request, time=11.0)
         report = verifier.verify_response("od-dev", request, response, 11.0)
         assert report.status is DeviceStatus.HEALTHY
@@ -101,7 +129,7 @@ class TestOnDemandBaseline:
     def test_current_infection_detected(self, ondemand_setup, malware_image):
         prover, verifier, arch = ondemand_setup
         arch.load_application(malware_image)
-        request = verifier.create_request("od-dev", 10.0)
+        request = verifier.create_ondemand_request("od-dev", 10.0)
         response = prover.handle_request(request, time=11.0)
         report = verifier.verify_response("od-dev", request, response, 11.0)
         assert report.status is DeviceStatus.INFECTED
@@ -113,18 +141,35 @@ class TestOnDemandBaseline:
         prover, verifier, arch = ondemand_setup
         arch.load_application(malware_image)
         arch.load_application(firmware)   # malware covered its tracks
-        request = verifier.create_request("od-dev", 20.0)
+        request = verifier.create_ondemand_request("od-dev", 20.0)
         response = prover.handle_request(request, time=21.0)
         report = verifier.verify_response("od-dev", request, response, 21.0)
         assert report.status is DeviceStatus.HEALTHY
 
     def test_no_response_reported(self, ondemand_setup):
         prover, verifier, _arch = ondemand_setup
-        request = verifier.create_request("od-dev", 10.0)
+        request = verifier.create_ondemand_request("od-dev", 10.0)
         refusal = prover.handle_request(
             OnDemandRequest(request.request_time, 0, b"\x00" * 32), time=11.0)
         report = verifier.verify_response("od-dev", request, refusal, 11.0)
         assert report.status is DeviceStatus.NO_DATA
+
+    def test_fresh_measurement_from_the_future_is_tampered(
+            self, ondemand_setup, key, config):
+        """A validly MACed record stamped after collection is not fresh."""
+        _prover, verifier, arch = ondemand_setup
+        request = verifier.create_ondemand_request("od-dev", 10.0)
+        digest = hash_for_mac(config.mac_name)(arch.read_measured_memory())
+        stamped = 50.0
+        tag = get_mac(config.mac_name).mac(
+            key, encode_timestamp(stamped) + digest)
+        response = OnDemandResponse(
+            fresh=Measurement(stamped, digest, tag), measurements=[])
+        report = verifier.verify_response("od-dev", request, response, 11.0)
+        assert report.verdicts[0].authentic
+        assert report.status is DeviceStatus.TAMPERED
+        assert "fresh measurement is timestamped in the future" in \
+            report.anomalies
 
     def test_attestation_runtime_includes_request_auth(self, ondemand_setup):
         prover, _verifier, arch = ondemand_setup
@@ -160,8 +205,28 @@ def test_erasmus_vs_ondemand_history_asymmetry(key, config, smartplus_arch,
 
     # An on-demand attestation at the same moment sees a clean device.
     ondemand_prover = OnDemandProver(smartplus_arch, config, device_id="dev")
-    request = ondemand_verifier.create_request("dev", 60.0)
+    request = ondemand_verifier.create_ondemand_request("dev", 60.0)
     od_response = ondemand_prover.handle_request(request, time=61.0)
     od_report = ondemand_verifier.verify_response("dev", request, od_response,
                                                   61.0)
     assert od_report.status is DeviceStatus.HEALTHY
+
+
+def test_ondemand_verifier_routes_macs_through_the_configured_backend(
+        key, config, smartplus_arch):
+    """The request tag and the MAC check both use config.crypto_backend."""
+    backend = _CountingBackend()
+    register_backend(backend)
+    counted = replace(config, crypto_backend=backend.name)
+    healthy = hash_for_mac(config.mac_name)(
+        smartplus_arch.read_measured_memory())
+    verifier = OnDemandVerifier(counted)
+    verifier.enroll("od-dev", key, [healthy])
+    prover = OnDemandProver(smartplus_arch, config, device_id="od-dev")
+
+    request = verifier.create_ondemand_request("od-dev", 10.0)
+    assert backend.macs == 1
+    response = prover.handle_request(request, time=11.0)
+    report = verifier.verify_response("od-dev", request, response, 11.0)
+    assert report.status is DeviceStatus.HEALTHY
+    assert backend.bound_macs == 1

@@ -208,3 +208,18 @@ def test_enrollment_key_change_check_is_constant_time(config, monkeypatch):
                         recorder)
     verifier.enroll("dev", b"k" * 16, [b"d" * 32])
     assert (b"k" * 16, b"k" * 16) in calls
+
+
+def test_key_change_invalidates_the_cached_judge(erasmus_setup):
+    """Re-enrolling with a new key must not keep judging under the old."""
+    prover, verifier, engine, _arch = erasmus_setup
+    run_schedule(prover, engine, 60.0)
+    response = prover.handle_collect(verifier.create_collect_request())
+    first = verifier.verify_collection(prover.device_id, response, 60.0)
+    assert first.status is DeviceStatus.HEALTHY
+    verifier.enroll(prover.device_id, b"n" * 16,
+                    verifier.healthy_digests(prover.device_id))
+    report = verifier.verify_collection(prover.device_id, response, 60.0)
+    assert report.status is DeviceStatus.TAMPERED
+    assert any("failed MAC verification" in anomaly
+               for anomaly in report.anomalies)

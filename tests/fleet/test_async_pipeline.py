@@ -2,13 +2,17 @@
 
 import asyncio
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.core import DeviceStatus
+from repro.arch.base import encode_timestamp
+from repro.core import CollectResponse, DeviceStatus, Measurement
+from repro.crypto.mac import get_mac
 from repro.fleet import (
     AsyncTransport,
     Fleet,
+    FleetVerifier,
     InProcessTransport,
     SimulatedNetworkTransport,
     SyncTransportAdapter,
@@ -83,45 +87,87 @@ def test_async_single_exchange_helper():
 # Pipeline behaviour and equivalence
 # ----------------------------------------------------------------------
 
-def test_pipeline_matches_sequential_reference_exactly():
-    reference = provision_fleet(20).collect_all(pipeline=False)
-    pipelined = provision_fleet(20).collect_all()
-    assert [report_key(r) for r in reference] == \
-        [report_key(r) for r in pipelined]
+def test_default_round_matches_one_shard_round():
+    """Windowed shards commit exactly what one all-device shard does."""
+    single_shard = provision_fleet(20).collect_all(batch_size=20,
+                                                   max_inflight_shards=1)
+    default = provision_fleet(20).collect_all()
+    assert single_shard.stats.shards == 1
+    assert [report_key(r) for r in single_shard] == \
+        [report_key(r) for r in default]
 
 
-def test_fast_path_reports_equal_reference_reports():
-    fleet = provision_fleet(10)
-    fleet.device("dev-0003").load_application(MALWARE)
+def _verifier_on(fleet, backend):
+    """A fresh verifier enrolling ``fleet``'s devices on one backend."""
+    verifier = FleetVerifier(
+        replace(fleet.profile.config, crypto_backend=backend))
+    for device in fleet.devices():
+        verifier.enroll_device(device)
+    return verifier
+
+
+def _edited_response(payload, edit):
+    """Re-encode a collect response after ``edit`` rewrote its records."""
+    measurements = [Measurement(m.timestamp, bytes(m.digest), bytes(m.tag))
+                    for m in CollectResponse.decode(payload).measurements]
+    return CollectResponse(measurements=edit(measurements)).encode()
+
+
+def test_judge_reports_equal_across_crypto_backends():
+    """The reference backend is the reference path: same reports, bytes."""
+    fleet = provision_fleet(6)
+    fleet.device("dev-0001").load_application(MALWARE)
     fleet.run_until(80.0)
-    verifier = fleet.verifier
-    request = verifier.create_collect_request().encode()
+    request = fleet.verifier.create_collect_request().encode()
     responses = fleet.transport.exchange_many(
         {device_id: request for device_id in fleet.device_ids()})
     now = fleet.now
-    for device_id in fleet.device_ids():
-        slow = verifier._verify_payload(device_id, responses[device_id], now)
-        fast = verifier._verify_payload_fast(device_id, responses[device_id],
-                                             now)
+
+    def forge(records):
+        first = records[0]
+        records[0] = Measurement(first.timestamp, first.digest,
+                                 bytes(len(first.tag)))
+        return records
+
+    def future(records):
+        newest = records[0]
+        tag = get_mac(fleet.profile.config.mac_name).mac(
+            fleet.device("dev-0003").key,
+            encode_timestamp(now + 30.0) + newest.digest)
+        return [Measurement(now + 30.0, newest.digest, tag)] + records
+
+    cases = [
+        ("dev-0000", responses["dev-0000"]),                      # healthy
+        ("dev-0001", responses["dev-0001"]),                      # infected
+        ("dev-0002", _edited_response(responses["dev-0002"], forge)),
+        ("dev-0003", _edited_response(responses["dev-0003"], future)),
+        ("dev-0004", _edited_response(responses["dev-0004"],
+                                      lambda records: records[::3])),
+        ("dev-0005", b"\xff\xff\xff"),                            # garbage
+        ("dev-0000", None),                                       # silence
+    ]
+    reference = _verifier_on(fleet, "reference")
+    accelerated = _verifier_on(fleet, "accelerated")
+    assert reference.crypto_backend.name == "reference"
+    assert accelerated.crypto_backend.name == "accelerated"
+    statuses = []
+    for device_id, payload in cases:
+        slow = reference._verify_payload(device_id, payload, now)
+        fast = accelerated._verify_payload(device_id, payload, now)
         assert report_key(slow) == report_key(fast)
         assert slow.verdicts == fast.verdicts
-
-
-def test_fast_path_judges_garbage_and_silence_like_reference():
-    fleet = provision_fleet(2)
-    verifier = fleet.verifier
-    for payload in (None, b"\xff\xff\xff"):
-        slow = verifier._verify_payload("dev-0000", payload, 60.0)
-        fast = verifier._verify_payload_fast("dev-0000", payload, 60.0)
-        assert report_key(slow) == report_key(fast)
+        statuses.append(fast.status)
+    assert statuses == [DeviceStatus.HEALTHY, DeviceStatus.INFECTED,
+                        DeviceStatus.TAMPERED, DeviceStatus.TAMPERED,
+                        DeviceStatus.TAMPERED, DeviceStatus.TAMPERED,
+                        DeviceStatus.NO_DATA]
 
 
 def test_device_judge_falls_back_for_custom_registered_macs():
-    """A MAC only the registry knows must not break the fast path."""
+    """A MAC only the registry knows must not break the judge."""
     import hashlib
 
-    from repro.arch.base import encode_timestamp
-    from repro.core import ErasmusConfig, Measurement
+    from repro.core import ErasmusConfig
     from repro.core.verification import Enrollment, VerificationCore
     from repro.crypto.mac import MacAlgorithm, register_mac
 
@@ -132,15 +178,16 @@ def test_device_judge_falls_back_for_custom_registered_macs():
                               extra_blocks=1))
     core = VerificationCore(ErasmusConfig(mac_name="test-trunc-blake8"))
     key, digest = b"judge-key", b"\x07" * 32
-    measurement = Measurement(
+    valid = Measurement(
         5.0, digest, trunc_mac(key, encode_timestamp(5.0) + digest))
+    forged = Measurement(
+        5.0, digest, trunc_mac(b"other-key", encode_timestamp(5.0) + digest))
     enrollment = Enrollment.create("custom", key, [digest])
-    reference = core.verify_measurements(enrollment, [measurement], 6.0)
-    fast = core.device_judge(key).verify_measurements(
-        enrollment, [measurement], 6.0)
-    assert reference.status is DeviceStatus.HEALTHY
-    assert fast.status is DeviceStatus.HEALTHY
-    assert reference.verdicts == fast.verdicts
+    judge = core.device_judge(key)
+    assert [verdict.authentic for verdict in
+            judge.verdicts(enrollment, [valid, forged], 6.0)] == [True, False]
+    assert judge.verify_measurements(enrollment, [valid], 6.0).status \
+        is DeviceStatus.HEALTHY
 
 
 def test_collect_all_async_is_awaitable():
@@ -221,14 +268,6 @@ def test_round_stats_count_lost_responses():
     assert reports.stats.requests_sent == 6
     assert reports.stats.responses_received == 0
     assert reports.stats.responses_lost == 6
-
-
-def test_sequential_reference_path_also_reports_stats():
-    fleet = provision_fleet(5)
-    reports = fleet.collect_all(pipeline=False, batch_size=2)
-    assert reports.stats.requests_sent == 5
-    assert reports.stats.shards == 3
-    assert fleet.health.round_stats == [reports.stats]
 
 
 # ----------------------------------------------------------------------

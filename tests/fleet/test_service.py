@@ -499,3 +499,21 @@ def test_merged_round_stats_bracket_their_parts():
     assert merged.wall_end == 14.0
     unstamped = RoundStats.merged([RoundStats(requests_sent=2)])
     assert (unstamped.wall_start, unstamped.wall_end) == (0.0, 0.0)
+
+
+def test_key_change_invalidates_the_cached_judge(fleet):
+    """A re-enrolled key must not be judged with the old key's judge."""
+    fleet.run_until(60.0)
+    assert all(report.status is DeviceStatus.HEALTHY
+               for report in fleet.collect_all())
+    device = fleet.device("dev-0003")
+    verifier = fleet.verifier
+    verifier.enroll(device.device_id, b"rotated-key-0003",
+                    verifier.healthy_digests(device.device_id))
+    fleet.run_until(120.0)
+    by_id = {report.device_id: report for report in fleet.collect_all()}
+    report = by_id["dev-0003"]
+    assert report.status is DeviceStatus.TAMPERED
+    assert any("failed MAC verification" in anomaly
+               for anomaly in report.anomalies)
+    assert by_id["dev-0004"].status is DeviceStatus.HEALTHY

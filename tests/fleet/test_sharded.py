@@ -133,17 +133,6 @@ def test_thread_worker_mode_is_rejected():
                         shards=2, worker_mode="thread")
 
 
-def test_sharded_fleet_rejects_the_sequential_reference_round():
-    """pipeline=False must not silently run the pipelined path."""
-    fleet = Fleet.provision(small_profile(), 4, master_secret=b"master",
-                            shards=2)
-    fleet.run_until(60.0)
-    with pytest.raises(ValueError, match="pipeline=False"):
-        fleet.collect_all(pipeline=False)
-    assert fleet.verifier.rounds_completed == 0
-    assert len(fleet.collect_all()) == 4
-
-
 def test_sharded_loop_mode_overlaps_simulated_network_rounds():
     fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
                             shards=4, transport="simulated-network")
