@@ -10,6 +10,10 @@ hash-memory / construct-prover / enroll dance.
 Per-device keys are derived from a fleet master secret with the
 deployment MAC (``K_i = MAC_master(label || device_id)``), mirroring
 how real deployments diversify a factory secret per unit.
+
+Provisioning runs every digest and MAC on the profile's
+``config.crypto_backend``: key derivation, the architecture build (ROM
+code digest, secure-boot images) and the healthy reference digest.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Optional
 from repro.arch.base import SecurityArchitecture, hash_for_mac
 from repro.core.config import ErasmusConfig, ScheduleKind
 from repro.core.prover import ErasmusProver
+from repro.crypto.backend import BackendSpec
 from repro.crypto.mac import get_mac
 from repro.hydra import build_hydra_architecture
 from repro.smartplus import build_smartplus_architecture
@@ -32,12 +37,14 @@ _KEY_DERIVATION_LABEL = b"erasmus-fleet-device-key/"
 
 
 def derive_device_key(master_secret: bytes, device_id: str,
-                      mac_name: str = "keyed-blake2s") -> bytes:
+                      mac_name: str = "keyed-blake2s",
+                      backend: BackendSpec = None) -> bytes:
     """Derive one device's shared key ``K`` from the fleet master secret."""
     if not master_secret:
         raise ValueError("the fleet master secret must be non-empty")
     return get_mac(mac_name).mac(
-        master_secret, _KEY_DERIVATION_LABEL + device_id.encode())
+        master_secret, _KEY_DERIVATION_LABEL + device_id.encode(),
+        backend=backend)
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,8 @@ class DeviceProfile:
             kwargs["measurement_buffer_size"] = self.measurement_buffer_size
         arch: SecurityArchitecture = builder(
             key, mac_name=self.config.mac_name,
-            application_size=self.application_size, **kwargs)
+            application_size=self.application_size,
+            crypto_backend=self.config.crypto_backend, **kwargs)
         arch.load_application(self.firmware)
         return arch
 
@@ -153,7 +161,8 @@ class DeviceProfile:
         if key is None:
             assert master_secret is not None
             key = derive_device_key(master_secret, device_id,
-                                    self.config.mac_name)
+                                    self.config.mac_name,
+                                    self.config.crypto_backend)
         architecture = self.build_architecture(key)
         healthy_digest = hash_for_mac(
             self.config.mac_name, architecture.crypto_backend)(

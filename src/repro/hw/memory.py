@@ -14,13 +14,23 @@ This module models those rules.  Every read/write happens under an
 :class:`AccessContext` (who is executing); region policies decide
 whether the access is allowed.  Violations raise :class:`AccessViolation`
 — in real hardware this would be a bus fault / MCU reset.
+
+Two sharing rules keep a fleet of thousands of modelled devices cheap
+without weakening those checks:
+
+* a region whose policy lets *no* context write it holds immutable
+  ``bytes``, so identical contents (the SMART+ ROM code, built once per
+  profile) are shared between devices instead of copied into each;
+  writes to it still fail the policy check before any data is touched;
+* :class:`AccessPolicy` is frozen and each factory returns one shared
+  constant, so a device map allocates no policy objects of its own.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Union
 
 
 class RegionKind(enum.Enum):
@@ -51,67 +61,88 @@ class AccessViolation(Exception):
     """A memory access violated the hardware access-control rules."""
 
 
-@dataclass
+_EVERYONE = frozenset(AccessContext)
+_NOBODY: frozenset[AccessContext] = frozenset()
+_ATTESTATION_ONLY = frozenset({AccessContext.ATTESTATION})
+
+
+@dataclass(frozen=True)
 class AccessPolicy:
     """Per-region access rules, expressed per :class:`AccessContext`.
 
     ``readable`` / ``writable`` list the contexts allowed to perform the
     respective access.  ``executable`` marks regions that may hold code.
+    Policies are immutable; the factories return shared constants.
     """
 
-    readable: frozenset[AccessContext] = frozenset(AccessContext)
-    writable: frozenset[AccessContext] = frozenset(AccessContext)
+    readable: frozenset[AccessContext] = _EVERYONE
+    writable: frozenset[AccessContext] = _EVERYONE
     executable: bool = False
 
-    @classmethod
-    def open(cls) -> "AccessPolicy":
+    @staticmethod
+    def open() -> "AccessPolicy":
         """Fully open region (ordinary RAM/flash)."""
-        return cls(frozenset(AccessContext), frozenset(AccessContext))
+        return _OPEN
 
-    @classmethod
-    def rom_code(cls) -> "AccessPolicy":
+    @staticmethod
+    def rom_code() -> "AccessPolicy":
         """Read/execute for everyone, writable by nobody (true ROM)."""
-        return cls(frozenset(AccessContext), frozenset(), executable=True)
+        return _ROM_CODE
 
-    @classmethod
-    def secret_key(cls) -> "AccessPolicy":
+    @staticmethod
+    def secret_key() -> "AccessPolicy":
         """Readable only from the attestation context, never writable."""
-        return cls(frozenset({AccessContext.ATTESTATION}), frozenset())
+        return _SECRET_KEY
 
-    @classmethod
-    def attestation_private(cls) -> "AccessPolicy":
+    @staticmethod
+    def attestation_private() -> "AccessPolicy":
         """Read/write only from the attestation context (K-related scratch)."""
-        only = frozenset({AccessContext.ATTESTATION})
-        return cls(only, only)
+        return _ATTESTATION_PRIVATE
 
-    @classmethod
-    def read_only_peripheral(cls) -> "AccessPolicy":
+    @staticmethod
+    def read_only_peripheral() -> "AccessPolicy":
         """Readable by everyone, writable by nobody (the RROC register)."""
-        return cls(frozenset(AccessContext), frozenset())
+        return _READ_ONLY_PERIPHERAL
+
+
+_OPEN = AccessPolicy(_EVERYONE, _EVERYONE)
+_ROM_CODE = AccessPolicy(_EVERYONE, _NOBODY, executable=True)
+_SECRET_KEY = AccessPolicy(_ATTESTATION_ONLY, _NOBODY)
+_ATTESTATION_PRIVATE = AccessPolicy(_ATTESTATION_ONLY, _ATTESTATION_ONLY)
+_READ_ONLY_PERIPHERAL = AccessPolicy(_EVERYONE, _NOBODY)
 
 
 @dataclass
 class MemoryRegion:
-    """A contiguous, named region of device memory."""
+    """A contiguous, named region of device memory.
+
+    ``data`` is a ``bytearray`` when some context may write the region
+    and immutable ``bytes`` when none may; ``bytes`` input to a
+    no-writer region is kept as is, not copied.
+    """
 
     name: str
     base: int
     size: int
     kind: RegionKind
     policy: AccessPolicy = field(default_factory=AccessPolicy.open)
-    data: bytearray = field(default_factory=bytearray)
+    data: Union[bytes, bytearray] = field(default_factory=bytearray)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"region {self.name!r} must have positive size")
         if self.base < 0:
             raise ValueError(f"region {self.name!r} must have non-negative base")
-        if not self.data:
-            self.data = bytearray(self.size)
-        elif len(self.data) != self.size:
+        if self.data and len(self.data) != self.size:
             raise ValueError(
                 f"region {self.name!r}: initial data length {len(self.data)} "
                 f"does not match size {self.size}")
+        if not self.policy.writable:
+            self.data = bytes(self.data or self.size)
+        elif not self.data:
+            self.data = bytearray(self.size)
+        elif not isinstance(self.data, bytearray):
+            self.data = bytearray(self.data)
 
     @property
     def end(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 
 from repro.arch.base import ArchitectureError, SecurityArchitecture
+from repro.crypto.backend import BackendSpec, CryptoBackend, resolve_backend
 from repro.hw.clock import SoftwareClock, WrappingCounter
 from repro.hw.codesize import CodeSizeModel
 from repro.hw.devices import ApplicationCPUModel
@@ -52,23 +53,29 @@ class HydraArchitecture(SecurityArchitecture):
         from 0 to 10 MB).
     cost_model:
         i.MX6-class cost model (defaults to the calibrated one).
+    crypto_backend:
+        Crypto provider for the secure-boot image digests and the
+        measurements; ``None`` resolves the default.
     """
 
     def __init__(self, key: bytes, mac_name: str = "keyed-blake2s",
                  application_size: int = 10 * 1024 * 1024,
                  measurement_buffer_size: int = 64 * 1024,
                  cost_model: ApplicationCPUModel | None = None,
-                 code_size_model: CodeSizeModel | None = None) -> None:
+                 code_size_model: CodeSizeModel | None = None,
+                 crypto_backend: BackendSpec = None) -> None:
         if not key:
             raise ValueError("the attestation key K must be non-empty")
         if application_size <= 0:
             raise ValueError("application size must be positive")
         size_model = code_size_model if code_size_model is not None \
             else CodeSizeModel()
-        kernel_image = self._synthetic_image(b"sel4-kernel", 160 * 1024)
+        backend = resolve_backend(crypto_backend)
+        kernel_image = self._synthetic_image(b"sel4-kernel", 160 * 1024,
+                                             backend)
         pratt_size = size_model.report("hydra", "erasmus", mac_name).total_bytes
         pratt_image = self._synthetic_image(
-            f"pratt/{mac_name}".encode(), pratt_size)
+            f"pratt/{mac_name}".encode(), pratt_size, backend)
 
         memory = self._build_memory_map(
             kernel_image, pratt_image, key, application_size,
@@ -79,6 +86,7 @@ class HydraArchitecture(SecurityArchitecture):
             else ApplicationCPUModel(),
             mac_name=mac_name,
             measured_regions=(APPLICATION_REGION,),
+            crypto_backend=backend,
         )
 
         # Secure boot: verify the kernel and PrAtt images, then bring up
@@ -87,7 +95,7 @@ class HydraArchitecture(SecurityArchitecture):
         self.secure_boot = SecureBoot.provision({
             KERNEL_IMAGE_REGION: kernel_image,
             PRATT_IMAGE_REGION: pratt_image,
-        })
+        }, backend=backend)
         self.secure_boot.boot({
             KERNEL_IMAGE_REGION: kernel_image,
             PRATT_IMAGE_REGION: pratt_image,
@@ -99,9 +107,9 @@ class HydraArchitecture(SecurityArchitecture):
         self._in_pratt = False
 
     @staticmethod
-    def _synthetic_image(seed: bytes, size: int) -> bytes:
-        from repro.crypto.sha256 import sha256_digest
-        pattern = sha256_digest(seed)
+    def _synthetic_image(seed: bytes, size: int,
+                         backend: CryptoBackend) -> bytes:
+        pattern = backend.hash_digest("sha256", seed)
         return (pattern * (size // len(pattern) + 1))[:size]
 
     @staticmethod
@@ -119,7 +127,7 @@ class HydraArchitecture(SecurityArchitecture):
         ):
             memory.add_region(MemoryRegion(
                 name=name, base=cursor, size=len(data), kind=RegionKind.FLASH,
-                policy=policy, data=bytearray(data)))
+                policy=policy, data=data))
             cursor += len(data)
         memory.add_region(MemoryRegion(
             name=APPLICATION_REGION, base=cursor, size=application_size,
@@ -190,9 +198,10 @@ def build_hydra_architecture(
         key: bytes, mac_name: str = "keyed-blake2s",
         application_size: int = 10 * 1024 * 1024,
         measurement_buffer_size: int = 64 * 1024,
-        cost_model: ApplicationCPUModel | None = None) -> HydraArchitecture:
+        cost_model: ApplicationCPUModel | None = None,
+        crypto_backend: BackendSpec = None) -> HydraArchitecture:
     """Convenience factory: build a HYDRA device ready for ERASMUS."""
     return HydraArchitecture(
         key=key, mac_name=mac_name, application_size=application_size,
         measurement_buffer_size=measurement_buffer_size,
-        cost_model=cost_model)
+        cost_model=cost_model, crypto_backend=crypto_backend)

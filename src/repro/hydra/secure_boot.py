@@ -5,6 +5,11 @@ kernel image and the PrAtt process image at system initialization time;
 everything after that is enforced by seL4's (formally verified)
 capability system.  The model keeps a table of expected image digests
 and refuses to boot when any measured image deviates.
+
+Image digests are SHA-256 on the crypto backend chosen at provisioning
+(the device's backend, so a reference-backend deployment hashes its
+boot images on the pure-Python provider); the digest check itself stays
+constant-time.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.crypto.backend import BackendSpec, resolve_backend
 from repro.crypto.constant_time import constant_time_compare
-from repro.crypto.sha256 import sha256_digest
 
 
 class SecureBootError(Exception):
@@ -26,12 +31,20 @@ class SecureBoot:
 
     expected_digests: Dict[str, bytes] = field(default_factory=dict)
     booted: bool = False
+    backend: BackendSpec = None
 
     @classmethod
-    def provision(cls, images: Dict[str, bytes]) -> "SecureBoot":
-        """Record the digests of known-good images (factory provisioning)."""
+    def provision(cls, images: Dict[str, bytes],
+                  backend: BackendSpec = None) -> "SecureBoot":
+        """Record the digests of known-good images (factory provisioning).
+
+        ``backend`` hashes these images and every later
+        :meth:`verify_image`; ``None`` resolves the default.
+        """
+        provider = resolve_backend(backend)
         return cls(expected_digests={
-            name: sha256_digest(image) for name, image in images.items()})
+            name: provider.hash_digest("sha256", image)
+            for name, image in images.items()}, backend=provider)
 
     def verify_image(self, name: str, image: bytes) -> bool:
         """Check one image against its provisioned digest.
@@ -43,7 +56,8 @@ class SecureBoot:
         expected = self.expected_digests.get(name)
         if expected is None:
             return False
-        return constant_time_compare(sha256_digest(image), expected)
+        digest = resolve_backend(self.backend).hash_digest("sha256", image)
+        return constant_time_compare(digest, expected)
 
     def boot(self, images: Dict[str, bytes]) -> None:
         """Verify every provisioned image and mark the device booted.

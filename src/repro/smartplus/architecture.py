@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 
 from repro.arch.base import ArchitectureError, SecurityArchitecture
+from repro.crypto.backend import BackendSpec
 from repro.hw.clock import ReliableClock
 from repro.hw.devices import MCUModel
 from repro.hw.memory import (
@@ -43,7 +44,8 @@ class SmartPlusArchitecture(SecurityArchitecture):
     Parameters
     ----------
     rom_image:
-        The immutable ROM content (attestation code + key).
+        The immutable ROM content (attestation code + key); its
+        ``crypto_backend`` also computes the device's measurements.
     application_size:
         Size in bytes of the application region that measurements cover.
         The paper's Figure 6 sweeps this from 0 to 10 KB.
@@ -65,6 +67,7 @@ class SmartPlusArchitecture(SecurityArchitecture):
             cost_model=cost_model if cost_model is not None else MCUModel(),
             mac_name=rom_image.mac_name,
             measured_regions=(APPLICATION_REGION,),
+            crypto_backend=rom_image.crypto_backend,
         )
         self.rom_image = rom_image
         self.clock = ReliableClock(frequency_hz=self.cost_model.clock_hz)
@@ -79,12 +82,12 @@ class SmartPlusArchitecture(SecurityArchitecture):
         memory.add_region(MemoryRegion(
             name=ROM_CODE_REGION, base=cursor, size=len(rom_image.code),
             kind=RegionKind.ROM, policy=AccessPolicy.rom_code(),
-            data=bytearray(rom_image.code)))
+            data=rom_image.code))
         cursor += len(rom_image.code)
         memory.add_region(MemoryRegion(
             name=ROM_KEY_REGION, base=cursor, size=len(rom_image.key),
             kind=RegionKind.ROM, policy=AccessPolicy.secret_key(),
-            data=bytearray(rom_image.key)))
+            data=rom_image.key))
         cursor += len(rom_image.key)
         memory.add_region(MemoryRegion(
             name=APPLICATION_REGION, base=cursor, size=application_size,
@@ -161,9 +164,15 @@ def build_smartplus_architecture(
         key: bytes, mac_name: str = "keyed-blake2s",
         variant: str = "erasmus", application_size: int = 10 * 1024,
         measurement_buffer_size: int = 2048,
-        cost_model: MCUModel | None = None) -> SmartPlusArchitecture:
-    """Convenience factory: build a SMART+ device ready for ERASMUS."""
-    rom_image = build_rom_image(key, mac_name=mac_name, variant=variant)
+        cost_model: MCUModel | None = None,
+        crypto_backend: BackendSpec = None) -> SmartPlusArchitecture:
+    """Convenience factory: build a SMART+ device ready for ERASMUS.
+
+    ``crypto_backend`` computes the ROM code digest and the device's
+    measurements alike.
+    """
+    rom_image = build_rom_image(key, mac_name=mac_name, variant=variant,
+                                backend=crypto_backend)
     return SmartPlusArchitecture(
         rom_image=rom_image, application_size=application_size,
         measurement_buffer_size=measurement_buffer_size,

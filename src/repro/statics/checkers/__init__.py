@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.statics.engine import Checker
 from repro.statics.checkers.constant_time import ConstantTimeChecker
+from repro.statics.checkers.crypto_seam import CryptoSeamChecker
 from repro.statics.checkers.determinism import DeterminismChecker
 from repro.statics.checkers.exact_fraction import ExactFractionChecker
 from repro.statics.checkers.lock_discipline import LockDisciplineChecker
@@ -26,6 +27,7 @@ CHECKER_CLASSES = (
     LockDisciplineChecker,
     CodecExhaustivenessChecker,
     ObsSeamChecker,
+    CryptoSeamChecker,
 )
 
 

@@ -1,10 +1,19 @@
 """Tests for device profiles, provisioning and key derivation."""
 
+import hashlib
+
 import pytest
 
+import repro.crypto.backend as backend_module
 from repro.core import DeviceStatus, ScheduleKind
+from repro.crypto.backend import AcceleratedBackend
 from repro.fleet import DeviceProfile, derive_device_key
-from repro.hydra.architecture import HydraArchitecture
+from repro.hw.memory import AccessContext
+from repro.hydra.architecture import (
+    KERNEL_IMAGE_REGION,
+    PRATT_IMAGE_REGION,
+    HydraArchitecture,
+)
 from repro.sim import SimulationEngine
 from repro.smartplus.architecture import SmartPlusArchitecture
 
@@ -105,3 +114,57 @@ def test_infected_device_detected_after_reimage():
     [report] = verifier.collect_all(transport, collection_time=engine.now)
     assert report.status is DeviceStatus.INFECTED
     assert report.infected_timestamps
+
+
+class _HashCountingBackend(AcceleratedBackend):
+    """Accelerated backend recording every one-shot hash it computes."""
+
+    name = "hash-counting"
+
+    def __init__(self) -> None:
+        self.hashes: list[tuple[str, bytes]] = []
+
+    def hash_digest(self, hash_name: str, data: bytes) -> bytes:
+        self.hashes.append((hash_name.lower(), bytes(data)))
+        return super().hash_digest(hash_name, data)
+
+
+@pytest.fixture
+def counting_backend(monkeypatch):
+    backend = _HashCountingBackend()
+    monkeypatch.setitem(backend_module._BACKENDS, backend.name, backend)
+    return backend
+
+
+def test_smartplus_provisioning_digests_follow_the_configured_backend(
+        counting_backend):
+    device = smart_profile(crypto_backend=counting_backend.name).provision(
+        "unit-6", master_secret=b"fleet-master")
+    measured = device.architecture.read_measured_memory()
+    assert ("blake2s", measured) in counting_backend.hashes
+    assert device.healthy_digest == hashlib.blake2s(measured).digest()
+
+    counting_backend.hashes.clear()
+    rom_image = device.architecture.rom_image
+    assert rom_image.code_digest() == hashlib.sha256(rom_image.code).digest()
+    assert counting_backend.hashes == [("sha256", rom_image.code)]
+
+
+def test_hydra_secure_boot_digests_follow_the_configured_backend(
+        counting_backend):
+    profile = DeviceProfile.hydra(firmware=FIRMWARE, application_size=4096,
+                                  crypto_backend=counting_backend.name)
+    device = profile.provision("unit-7", key=b"\x07" * 32)
+    architecture = device.architecture
+    images = {name: architecture.memory.read_region(
+                  name, AccessContext.ATTESTATION)
+              for name in (KERNEL_IMAGE_REGION, PRATT_IMAGE_REGION)}
+    for image in images.values():
+        # Once at provisioning, once more when the device boots.
+        assert counting_backend.hashes.count(("sha256", image)) == 2
+
+    counting_backend.hashes.clear()
+    assert architecture.secure_boot.verify_image(
+        PRATT_IMAGE_REGION, images[PRATT_IMAGE_REGION])
+    assert counting_backend.hashes == [
+        ("sha256", images[PRATT_IMAGE_REGION])]

@@ -1,5 +1,7 @@
 """Tests for memory regions and hardware access control."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.hw.memory import (
@@ -121,3 +123,34 @@ def test_policy_factories():
     assert not secret.writable
     rroc = AccessPolicy.read_only_peripheral()
     assert not rroc.writable and AccessContext.DMA in rroc.readable
+
+
+POLICY_FACTORIES = [AccessPolicy.open, AccessPolicy.rom_code,
+                    AccessPolicy.secret_key, AccessPolicy.attestation_private,
+                    AccessPolicy.read_only_peripheral]
+
+
+@pytest.mark.parametrize("factory", POLICY_FACTORIES)
+def test_policy_factories_return_one_frozen_instance(factory):
+    policy = factory()
+    assert factory() is policy
+    with pytest.raises(FrozenInstanceError):
+        policy.writable = frozenset(AccessContext)
+    with pytest.raises(FrozenInstanceError):
+        policy.executable = True
+
+
+def test_regions_are_mutable_exactly_when_some_context_may_write():
+    image = b"\xAB" * 8
+    shared = MemoryRegion("rom", 0, 8, RegionKind.ROM,
+                          AccessPolicy.rom_code(), image)
+    copied = MemoryRegion("rom", 0, 8, RegionKind.ROM,
+                          AccessPolicy.rom_code(), bytearray(image))
+    blank = MemoryRegion("rroc", 8, 8, RegionKind.PERIPHERAL,
+                         AccessPolicy.read_only_peripheral())
+    flash = MemoryRegion("flash", 16, 8, RegionKind.FLASH,
+                         AccessPolicy.attestation_private(), image)
+    assert shared.data is image
+    assert type(copied.data) is bytes and copied.data == image
+    assert type(blank.data) is bytes and blank.data == bytes(8)
+    assert type(flash.data) is bytearray and flash.data == image

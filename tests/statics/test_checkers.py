@@ -2,6 +2,7 @@
 
 from repro.statics.checkers.codec import CodecExhaustivenessChecker
 from repro.statics.checkers.constant_time import ConstantTimeChecker
+from repro.statics.checkers.crypto_seam import CryptoSeamChecker
 from repro.statics.checkers.determinism import DeterminismChecker
 from repro.statics.checkers.exact_fraction import ExactFractionChecker
 from repro.statics.checkers.lock_discipline import LockDisciplineChecker
@@ -317,3 +318,44 @@ def test_obs_seam_pragma():
               "from repro.obs.metrics import Counter\n")
     assert lint(ObsSeamChecker(), source,
                 relpath="src/repro/fleet/service.py") == []
+
+
+# ----------------------------------------------------------------------
+# crypto-seam
+# ----------------------------------------------------------------------
+def test_crypto_seam_flags_primitive_imports_outside_crypto():
+    source = ("from repro.crypto.sha256 import sha256_digest\n"
+              "import repro.crypto.hmac\n"
+              "from repro.crypto import Blake2s, get_backend\n")
+    findings = lint(CryptoSeamChecker(), source,
+                    relpath="src/repro/smartplus/rom.py")
+    assert [finding.line for finding in findings] == [1, 2, 3]
+    assert "repro.crypto.backend" in findings[0].message
+    assert "Blake2s" in findings[2].message
+    assert "get_backend" not in findings[2].message
+
+
+def test_crypto_seam_allows_primitives_inside_the_crypto_package():
+    source = ("from repro.crypto.sha256 import Sha256\n"
+              "from repro.crypto.hmac import Hmac\n")
+    assert lint(CryptoSeamChecker(), source,
+                relpath="src/repro/crypto/backend.py") == []
+
+
+def test_crypto_seam_allows_the_backend_and_mac_seams():
+    source = ("from repro.crypto.backend import resolve_backend\n"
+              "from repro.crypto.mac import get_mac\n"
+              "from repro.crypto.constant_time import constant_time_compare\n"
+              "from repro.crypto import use_backend\n")
+    assert lint(CryptoSeamChecker(), source,
+                relpath="src/repro/hydra/secure_boot.py") == []
+
+
+def test_crypto_seam_skips_tests_and_honours_pragmas():
+    source = "from repro.crypto.sha1 import Sha1\n"
+    assert lint(CryptoSeamChecker(), source,
+                relpath="tests/crypto/test_sha1.py") == []
+    pragma = ("# statics: ok(crypto-seam)\n"
+              "from repro.crypto.sha1 import Sha1\n")
+    assert lint(CryptoSeamChecker(), pragma,
+                relpath="src/repro/hw/codesize.py") == []

@@ -53,7 +53,7 @@ def test_list_rules_prints_the_catalog(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("constant-time", "determinism", "exact-fraction",
-                 "lock-discipline", "codec", "obs-seam"):
+                 "lock-discipline", "codec", "obs-seam", "crypto-seam"):
         assert f"{rule}:" in out
     assert "invariant:" in out
 
