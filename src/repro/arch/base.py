@@ -34,8 +34,7 @@ def hash_for_mac(mac_name: str,
         known = ", ".join(sorted(_HASH_FOR_MAC))
         raise ValueError(
             f"no hash paired with MAC {mac_name!r}; known: {known}") from exc
-    provider = resolve_backend(backend)
-    return lambda data: provider.hash_digest(hash_name, data)
+    return resolve_backend(backend).hash_function(hash_name)
 
 
 class ArchitectureError(Exception):
@@ -89,6 +88,9 @@ class SecurityArchitecture(abc.ABC):
         self.mac_algorithm = get_mac(self.mac_name)
         self.use_crypto_backend(crypto_backend)
         self.measured_regions = tuple(measured_regions)
+        # Modelled measurement run-time per measured size: the cost
+        # model is fixed at construction, so each size is priced once.
+        self._durations: Dict[int, float] = {}
         self.measurements_performed = 0
         self.aborted_measurements = 0
         self._last_request_time: float | None = None
@@ -99,10 +101,13 @@ class SecurityArchitecture(abc.ABC):
         Deployments that model reference cycle costs pick ``reference``;
         everything else uses the resolved default (normally the stdlib
         ``accelerated`` provider).  Digests and tags are identical
-        either way.
+        either way.  The hash ``H`` and the ``(key, data) -> tag`` MAC
+        are bound here once, so a measurement resolves neither by name.
         """
         self.crypto_backend = resolve_backend(backend)
         self.hash_function = hash_for_mac(self.mac_name, self.crypto_backend)
+        self._keyed_mac = self.mac_algorithm.keyed_mac_function(
+            self.crypto_backend)
 
     # ------------------------------------------------------------------
     # Clock and key access (architecture-specific)
@@ -155,15 +160,16 @@ class SecurityArchitecture(abc.ABC):
             memory_image = self.read_measured_memory()
             digest = self.hash_function(memory_image)
             key = self._read_key()
-            tag = self.mac_algorithm.mac(
-                key, encode_timestamp(timestamp) + digest,
-                backend=self.crypto_backend)
-            duration = self.cost_model.measurement_runtime(
-                len(memory_image), self.mac_name)
+            tag = self._keyed_mac(key, encode_timestamp(timestamp) + digest)
+            size = len(memory_image)
+            duration = self._durations.get(size)
+            if duration is None:
+                duration = self._durations[size] = \
+                    self.cost_model.measurement_runtime(size, self.mac_name)
             self.measurements_performed += 1
             return MeasurementOutput(timestamp=timestamp, digest=digest,
                                      tag=tag, duration=duration,
-                                     memory_bytes=len(memory_image))
+                                     memory_bytes=size)
 
     # ------------------------------------------------------------------
     # Verifier-request authentication (on-demand / ERASMUS+OD only)

@@ -131,10 +131,13 @@ class ErasmusProver:
         assert self._engine is not None
         time = self._engine.now
         measurement = self.take_measurement(time)
-        self._engine.trace.record(
-            time, "measurement", device=self.device_id,
-            aborted=measurement is None,
-            timestamp=None if measurement is None else measurement.timestamp)
+        trace = self._engine.trace
+        if trace is not None:
+            trace.record(
+                time, "measurement", device=self.device_id,
+                aborted=measurement is None,
+                timestamp=None if measurement is None
+                else measurement.timestamp)
         for listener in list(self.measurement_listeners):
             listener(self.device_id, time, measurement)
         if measurement is None:

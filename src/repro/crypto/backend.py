@@ -45,6 +45,7 @@ DEFAULT_BACKEND_NAME = "accelerated"
 #: or ``None`` meaning "use the resolved default".
 BackendSpec = Union[str, "CryptoBackend", None]
 
+_HASHES = ("sha1", "sha256", "blake2s")
 _HMAC_HASHES = ("sha1", "sha256")
 
 
@@ -74,6 +75,17 @@ class CryptoBackend(abc.ABC):
     def digest_size(self, hash_name: str) -> int:
         """Digest size in bytes of the named hash."""
 
+    def hash_function(self, hash_name: str) -> Callable[[bytes], bytes]:
+        """A ``data -> digest`` closure with the hash name resolved once.
+
+        It calls this backend's own :meth:`hash_digest`, so a subclass
+        overriding that method sees every digest.
+        """
+        hash_name = hash_name.lower()
+        if hash_name not in _HASHES:
+            raise ValueError(f"unknown hash: {hash_name!r}")
+        return lambda data: self.hash_digest(hash_name, data)
+
     def hmac_function(self, hash_name: str) -> Callable[[bytes, bytes], bytes]:
         """A fast ``(key, data) -> tag`` closure for hot loops.
 
@@ -102,6 +114,24 @@ class CryptoBackend(abc.ABC):
             return self.hmac_digest("sha256", key, data)
         if lowered == "keyed-blake2s":
             return self.keyed_blake2s(key, data)
+        raise ValueError(f"backend {self.name!r} cannot compute MAC "
+                         f"{mac_name!r}")
+
+    def keyed_mac_function(self, mac_name: str
+                           ) -> Callable[[bytes, bytes], bytes]:
+        """A ``(key, data) -> tag`` closure with the construction resolved once.
+
+        Provers that MAC every measurement under a key read afresh each
+        time bind this once.  It calls this backend's own
+        :meth:`hmac_digest` / :meth:`keyed_blake2s`, so a subclass
+        overriding either sees every tag.
+        """
+        lowered = mac_name.lower()
+        if lowered == "keyed-blake2s":
+            return self.keyed_blake2s
+        if lowered in ("hmac-sha1", "hmac-sha256"):
+            hash_name = lowered[len("hmac-"):]
+            return lambda key, data: self.hmac_digest(hash_name, key, data)
         raise ValueError(f"backend {self.name!r} cannot compute MAC "
                          f"{mac_name!r}")
 
@@ -166,16 +196,24 @@ class ReferenceBackend(CryptoBackend):
             raise ValueError(f"unknown hash: {hash_name!r}") from exc
 
 
+_HASH_CONSTRUCTORS = {
+    "sha1": hashlib.sha1,
+    "sha256": hashlib.sha256,
+    "blake2s": hashlib.blake2s,
+}
+
+
 class AcceleratedBackend(CryptoBackend):
     """The CPython stdlib (``hashlib`` / ``hmac``) — fast C primitives."""
 
     name = "accelerated"
 
     def hash_digest(self, hash_name: str, data: bytes) -> bytes:
-        try:
-            return hashlib.new(hash_name.lower(), data).digest()
-        except ValueError as exc:
-            raise ValueError(f"unknown hash: {hash_name!r}") from exc
+        constructor = _HASH_CONSTRUCTORS.get(hash_name) \
+            or _HASH_CONSTRUCTORS.get(hash_name.lower())
+        if constructor is None:
+            raise ValueError(f"unknown hash: {hash_name!r}")
+        return constructor(data).digest()
 
     def hmac_digest(self, hash_name: str, key: bytes, data: bytes) -> bytes:
         return _stdlib_hmac.digest(key, data, hash_name.lower())

@@ -46,6 +46,18 @@ class MacAlgorithm:
             return provider.mac(self.name, key, data)
         return self._mac_fn(key, data)
 
+    def keyed_mac_function(self, backend: BackendSpec = None
+                           ) -> Callable[[bytes, bytes], bytes]:
+        """The ``(key, data) -> tag`` callable :meth:`mac` dispatches to.
+
+        Resolved once for hot loops: the backend's own construction when
+        it knows this MAC, the registered reference ``mac_fn`` otherwise.
+        """
+        provider = resolve_backend(backend)
+        if provider.supports_mac(self.name):
+            return provider.keyed_mac_function(self.name)
+        return self._mac_fn
+
     def verify(self, key: bytes, data: bytes, tag: bytes,
                backend: BackendSpec = None) -> bool:
         """Recompute and compare a tag in constant time."""

@@ -206,14 +206,19 @@ class DeviceMemory:
         raise AccessViolation(
             f"access to unmapped address 0x{address:x} (+{length})")
 
+    def _violation(self, region: MemoryRegion, context: AccessContext,
+                   access: str) -> AccessViolation:
+        """Log a denied access and return the exception to raise."""
+        self.violations.append((region.name, context, access))
+        return AccessViolation(
+            f"{context.value} context may not {access} region {region.name!r}")
+
     def read(self, address: int, length: int,
              context: AccessContext = AccessContext.NORMAL) -> bytes:
         """Read ``length`` bytes starting at ``address``."""
         region = self._find(address, length)
         if context not in region.policy.readable:
-            self.violations.append((region.name, context, "read"))
-            raise AccessViolation(
-                f"{context.value} context may not read region {region.name!r}")
+            raise self._violation(region, context, "read")
         offset = address - region.base
         return bytes(region.data[offset:offset + length])
 
@@ -222,17 +227,21 @@ class DeviceMemory:
         """Write ``payload`` starting at ``address``."""
         region = self._find(address, len(payload))
         if context not in region.policy.writable:
-            self.violations.append((region.name, context, "write"))
-            raise AccessViolation(
-                f"{context.value} context may not write region {region.name!r}")
+            raise self._violation(region, context, "write")
         offset = address - region.base
         region.data[offset:offset + len(payload)] = payload
 
     def read_region(self, name: str,
                     context: AccessContext = AccessContext.NORMAL) -> bytes:
-        """Read an entire region by name."""
+        """Read an entire region by name.
+
+        The region is known, so its policy is checked directly instead
+        of scanning the map for the one containing its address range.
+        """
         region = self.region(name)
-        return self.read(region.base, region.size, context)
+        if context not in region.policy.readable:
+            raise self._violation(region, context, "read")
+        return bytes(region.data)
 
     def write_region(self, name: str, payload: bytes,
                      context: AccessContext = AccessContext.NORMAL,

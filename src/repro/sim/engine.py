@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventKind
@@ -23,14 +24,20 @@ class SimulationEngine:
         engine.schedule(10.0, lambda ev: print("fired"), EventKind.TIMER)
         engine.run(until=100.0)
 
-    The engine also owns a :class:`TraceRecorder` so that experiments can
-    reconstruct what happened (e.g. for QoA / detection analysis).
+    The queue is a heap of ``(time, sequence, event)`` tuples.  Event
+    times must be finite: a NaN compares false against everything and
+    would fire at an arbitrary heap position.
+
+    ``trace`` is an optional :class:`TraceRecorder`; components that
+    report what happened (the prover records one ``"measurement"``
+    event per attempt) write to it only when one was passed in, so an
+    untraced engine keeps no per-event history.
     """
 
     def __init__(self, trace: Optional[TraceRecorder] = None) -> None:
         self.now = 0.0
-        self._queue: list[Event] = []
-        self.trace = trace if trace is not None else TraceRecorder()
+        self._queue: list[tuple[float, int, Event]] = []
+        self.trace = trace
         self.events_processed = 0
         self._running = False
 
@@ -38,19 +45,22 @@ class SimulationEngine:
                  kind: EventKind = EventKind.GENERIC,
                  payload: Any = None) -> Event:
         """Schedule ``callback`` to fire at absolute virtual ``time``."""
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time}")
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self.now}")
         event = Event.create(time, callback, kind, payload)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, event.sequence, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callable[[Event], None],
                     kind: EventKind = EventKind.GENERIC,
                     payload: Any = None) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError("delay must be non-negative")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"delay must be non-negative, got {delay}")
         return self.schedule(self.now + delay, callback, kind, payload)
 
     def cancel(self, event: Event) -> None:
@@ -59,22 +69,38 @@ class SimulationEngine:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next pending event, if any."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
+
+    def _pop_due(self, until: Optional[float]) -> Optional[Event]:
+        """Pop the next live event due by ``until`` and move the clock to it.
+
+        Cancelled events at the head are discarded on the way; ``None``
+        means nothing live is due (the queue is empty or its head lies
+        past ``until``).
+        """
+        queue = self._queue
+        while queue:
+            time, _sequence, event = queue[0]
+            if event.cancelled:
+                heapq.heappop(queue)
+                continue
+            if until is not None and time > until:
+                return None
+            heapq.heappop(queue)
+            self.now = time
+            self.events_processed += 1
+            return event
+        return None
 
     def step(self) -> Optional[Event]:
         """Process a single event and return it (or ``None`` if idle)."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self.events_processed += 1
-            if event.callback is not None:
-                event.callback(event)
-            return event
-        return None
+        event = self._pop_due(None)
+        if event is not None and event.callback is not None:
+            event.callback(event)
+        return event
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
@@ -95,15 +121,12 @@ class SimulationEngine:
         self._running = True
         processed = 0
         try:
-            while True:
-                if max_events is not None and processed >= max_events:
+            while max_events is None or processed < max_events:
+                event = self._pop_due(until)
+                if event is None:
                     break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                if event.callback is not None:
+                    event.callback(event)
                 processed += 1
             self._advance_to_horizon(until)
         finally:
@@ -147,15 +170,12 @@ class SimulationEngine:
         self._running = True
         processed = 0
         try:
-            while True:
-                if max_events is not None and processed >= max_events:
+            while max_events is None or processed < max_events:
+                event = self._pop_due(until)
+                if event is None:
                     break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                if event.callback is not None:
+                    event.callback(event)
                 processed += 1
                 if processed % yield_every == 0:
                     await asyncio.sleep(0)
@@ -166,4 +186,5 @@ class SimulationEngine:
 
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _time, _sequence, event in self._queue
+                   if not event.cancelled)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
@@ -29,21 +29,22 @@ class EventKind(enum.Enum):
 _sequence = itertools.count()
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
     """A single scheduled event.
 
-    Events are ordered by ``(time, sequence)`` so that simultaneous
-    events fire in scheduling order, which keeps traces deterministic.
+    The engine queues ``(time, sequence, event)`` tuples, so the heap
+    compares floats and ints and simultaneous events fire in scheduling
+    order, which keeps traces deterministic.  Events themselves are not
+    ordered, and two events are equal only when they are the same one.
     """
 
     time: float
-    sequence: int = field(compare=True)
-    kind: EventKind = field(compare=False, default=EventKind.GENERIC)
-    callback: Optional[Callable[["Event"], None]] = field(
-        compare=False, default=None)
-    payload: Any = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    sequence: int
+    kind: EventKind = EventKind.GENERIC
+    callback: Optional[Callable[["Event"], None]] = None
+    payload: Any = None
+    cancelled: bool = False
 
     @classmethod
     def create(cls, time: float, callback: Callable[["Event"], None],

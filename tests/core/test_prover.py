@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CollectRequest, ErasmusConfig, ErasmusProver, \
     ScheduleKind
-from repro.sim import SimulationEngine
+from repro.sim import SimulationEngine, TraceRecorder
 
 
 def test_manual_measurement_is_stored(erasmus_setup):
@@ -26,7 +26,8 @@ def test_attached_prover_follows_schedule(erasmus_setup):
 
 
 def test_measurement_events_recorded_in_trace(erasmus_setup):
-    prover, _verifier, engine, _arch = erasmus_setup
+    prover, _verifier, _engine, _arch = erasmus_setup
+    engine = SimulationEngine(trace=TraceRecorder())
     prover.attach(engine)
     engine.run(until=30.0)
     events = engine.trace.events("measurement")

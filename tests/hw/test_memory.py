@@ -108,6 +108,31 @@ def test_read_write_region_by_name():
     assert memory.read_region("ram")[10:13] == b"abc"
 
 
+def test_read_region_checks_the_named_regions_policy():
+    memory = build_memory()
+    assert memory.read_region("key", AccessContext.ATTESTATION) \
+        == b"\x11" * 16
+    for context in (AccessContext.NORMAL, AccessContext.DMA):
+        with pytest.raises(AccessViolation,
+                           match=f"{context.value} context may not read "
+                                 "region 'key'"):
+            memory.read_region("key", context)
+    assert memory.violations == [("key", AccessContext.NORMAL, "read"),
+                                 ("key", AccessContext.DMA, "read")]
+
+
+def test_read_region_returns_a_snapshot_of_the_whole_region():
+    memory = build_memory()
+    ram = memory.region("ram")
+    memory.write_region("ram", b"abc", offset=ram.size - 3)
+    before = memory.read_region("ram")
+    assert type(before) is bytes and len(before) == ram.size
+    assert before == memory.read(ram.base, ram.size)
+    memory.write_region("ram", b"xyz", offset=ram.size - 3)
+    assert before.endswith(b"abc")
+    assert memory.read_region("ram").endswith(b"xyz")
+
+
 def test_write_region_bounds_checked():
     memory = build_memory()
     with pytest.raises(ValueError):

@@ -1,8 +1,16 @@
 """Tests for the discrete-event simulation engine."""
 
+import math
+
 import pytest
 
-from repro.sim import Event, EventKind, SimulationEngine, SimulationError
+from repro.sim import (
+    Event,
+    EventKind,
+    SimulationEngine,
+    SimulationError,
+    TraceRecorder,
+)
 
 
 def test_events_fire_in_time_order():
@@ -19,10 +27,21 @@ def test_events_fire_in_time_order():
 def test_simultaneous_events_fire_in_scheduling_order():
     engine = SimulationEngine()
     order = []
-    engine.schedule(3.0, lambda event: order.append("first"))
-    engine.schedule(3.0, lambda event: order.append("second"))
+    for index in range(40):
+        # Interleave a same-time batch with earlier and later events, so
+        # the heap reorders around the batch many times.
+        engine.schedule(7.0, lambda event, index=index: order.append(index))
+        engine.schedule(float(index % 13), lambda event: None)
+        engine.schedule(20.0 - index % 5, lambda event: None)
+
+    def at_seven(event):
+        # Events scheduled *at* the current time during a drain queue
+        # behind everything already scheduled for that time.
+        engine.schedule(7.0, lambda inner: order.append("late"))
+
+    engine.schedule(7.0, at_seven)
     engine.run()
-    assert order == ["first", "second"]
+    assert order == list(range(40)) + ["late"]
 
 
 def test_run_until_stops_before_future_events():
@@ -68,11 +87,16 @@ def test_cancelled_events_do_not_fire():
 
 def test_pending_count_excludes_cancelled():
     engine = SimulationEngine()
-    kept = engine.schedule(1.0, lambda event: None)
-    cancelled = engine.schedule(2.0, lambda event: None)
-    cancelled.cancel()
-    assert engine.pending_count() == 1
-    del kept
+    events = [engine.schedule(float(index), lambda event: None)
+              for index in range(10)]
+    for event in events[::3]:
+        event.cancel()
+    assert engine.pending_count() == 6
+    engine.run(max_events=2)
+    assert engine.pending_count() == 4
+    engine.run()
+    assert engine.pending_count() == 0
+    assert engine.events_processed == 6
 
 
 def test_events_can_schedule_more_events():
@@ -160,3 +184,53 @@ def test_truncated_run_does_not_jump_clock_past_pending_events():
     engine.schedule(50.0, lambda event: None)  # must not be "in the past"
     engine.run(until=100.0)
     assert engine.now == 100.0
+
+
+@pytest.mark.parametrize("bad_time", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_rejected(bad_time):
+    engine = SimulationEngine()
+    fired = []
+    engine.schedule(3.0, lambda event: fired.append(3.0))
+    engine.schedule(5.0, lambda event: fired.append(5.0))
+    with pytest.raises(SimulationError):
+        engine.schedule(bad_time, lambda event: fired.append(bad_time))
+    with pytest.raises(SimulationError):
+        engine.schedule_in(bad_time, lambda event: fired.append(bad_time))
+    assert engine.pending_count() == 2
+    engine.run()
+    assert fired == [3.0, 5.0]
+    assert engine.now == 5.0
+
+
+def test_events_are_not_ordered_by_themselves():
+    engine = SimulationEngine()
+    first = engine.schedule(1.0, lambda event: None)
+    second = engine.schedule(1.0, lambda event: None)
+    with pytest.raises(TypeError):
+        sorted([first, second])
+    assert first != second and first == first
+
+
+def test_cancelled_head_is_skipped_by_peek_time_and_step():
+    engine = SimulationEngine()
+    fired = []
+    head = engine.schedule(1.0, lambda event: fired.append("head"))
+    engine.schedule(2.0, lambda event: fired.append("next"))
+    head.cancel()
+    assert engine.peek_time() == 2.0
+    event = engine.step()
+    assert event is not None and event.time == 2.0
+    assert fired == ["next"]
+    assert engine.now == 2.0
+
+    only = engine.schedule(4.0, lambda event: fired.append("only"))
+    engine.cancel(only)
+    assert engine.step() is None
+    assert engine.peek_time() is None
+    assert engine.events_processed == 1
+
+
+def test_default_engine_keeps_no_trace():
+    assert SimulationEngine().trace is None
+    recorder = TraceRecorder()
+    assert SimulationEngine(trace=recorder).trace is recorder
