@@ -11,8 +11,11 @@ fleet-collection yardstick as the obs subsystem evolves.
 
 Each row is the best of three attempts with a fresh observability
 object, so run-to-run jitter does not masquerade as instrumentation
-cost.
+cost; the attempts interleave the modes round-robin, and the
+null-vs-baseline gate takes the median of the per-repeat ratios.
 """
+
+import statistics
 
 from repro.experiments import fleet_collection
 
@@ -42,13 +45,19 @@ def test_obs_mode_overhead(benchmark):
     # (expected within 5%) and hard-gated at 10% so shared-CI noise
     # cannot fail the workflow while a real hot-path regression —
     # say, instrumentation leaking out of its ``obs.enabled`` guard —
-    # still would.
+    # still would.  The modes run interleaved within each repeat, and
+    # the gate takes the median of the per-repeat ratios, so one slow
+    # stretch of a shared machine cannot land on a single mode.
     baseline = by_mode["baseline"]["devices_per_second"]
-    null = by_mode["null"]["devices_per_second"]
-    benchmark.extra_info["null_vs_baseline"] = null / baseline
-    assert null >= 0.90 * baseline, (
-        f"null-obs round ran at {null:.0f} dev/s vs baseline "
-        f"{baseline:.0f} dev/s — disabled instrumentation is not free")
+    null_vs_baseline = statistics.median(
+        null / base for null, base in zip(
+            by_mode["null"]["repeat_devices_per_second"],
+            by_mode["baseline"]["repeat_devices_per_second"]))
+    benchmark.extra_info["null_vs_baseline"] = null_vs_baseline
+    assert null_vs_baseline >= 0.90, (
+        f"null-obs rounds ran at a median {null_vs_baseline:.2f}x the "
+        f"baseline's devices/second — disabled instrumentation is not "
+        f"free")
 
     # Enabled observability pays real work per device (two clock reads,
     # a histogram observation, a trace row, timed store writes).  On

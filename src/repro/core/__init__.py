@@ -19,7 +19,11 @@ This package implements the paper's primary contribution:
 """
 
 from repro.core.config import ErasmusConfig, ScheduleKind
-from repro.core.measurement import Measurement, MeasurementDecodeError
+from repro.core.measurement import (
+    Measurement,
+    MeasurementDecodeError,
+    RecordColumns,
+)
 from repro.core.ondemand import OnDemandProver, OnDemandVerifier
 from repro.core.protocol import (
     CollectRequest,
@@ -74,6 +78,7 @@ __all__ = [
     "OnDemandVerifier",
     "ProtocolDecodeError",
     "QoA",
+    "RecordColumns",
     "RegularScheduler",
     "ScheduleKind",
     "VerificationCore",

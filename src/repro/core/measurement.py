@@ -12,21 +12,40 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.arch.base import MeasurementOutput, encode_timestamp
 
 _HEADER = struct.Struct(">QHH")  # timestamp_us, digest_len, tag_len
+_STAMP_SIZE = 8
 
-#: Anything the codec accepts as an encoded record: decoded fields are
-#: read-only :class:`memoryview` slices over the input buffer by
-#: default (zero-copy), which hash and compare equal to the ``bytes``
-#: they view, so digests stay usable as set members and MAC inputs.
+#: Anything the codec accepts as an encoded record.
 Buffer = Union[bytes, bytearray, memoryview]
 
 
 class MeasurementDecodeError(Exception):
     """A byte string could not be decoded into a measurement record."""
+
+
+def decode_record(record: Buffer) -> Tuple[bytes, int, bytes, bytes]:
+    """Split one encoded record into ``(stamp, timestamp_us, digest, tag)``.
+
+    ``stamp`` is the record's 8-byte timestamp field exactly as it was
+    encoded — the bytes the MAC covers — and every field is an owned
+    ``bytes`` copy.
+    """
+    if len(record) < _HEADER.size:
+        raise MeasurementDecodeError("measurement record truncated")
+    timestamp_us, digest_len, tag_len = _HEADER.unpack_from(record)
+    expected = _HEADER.size + digest_len + tag_len
+    if len(record) != expected:
+        raise MeasurementDecodeError(
+            f"measurement record has {len(record)} bytes, "
+            f"expected {expected}")
+    view = memoryview(record)
+    return (bytes(view[:_STAMP_SIZE]), timestamp_us,
+            bytes(view[_HEADER.size:_HEADER.size + digest_len]),
+            bytes(view[_HEADER.size + digest_len:]))
 
 
 @dataclass(frozen=True)
@@ -52,7 +71,6 @@ class Measurement:
 
     def authenticated_payload(self) -> bytes:
         """The bytes the MAC covers: canonical timestamp followed by digest."""
-        # join() accepts buffer views, so a zero-copy digest works here too.
         return b"".join((encode_timestamp(self.timestamp), self.digest))
 
     def encode_parts(self) -> List[bytes]:
@@ -70,26 +88,9 @@ class Measurement:
         return b"".join(self.encode_parts())
 
     @classmethod
-    def decode(cls, payload: Buffer, *, copy: bool = False) -> "Measurement":
-        """Parse the canonical wire format back into a record.
-
-        With ``copy=False`` (the default) ``digest`` and ``tag`` are
-        read-only views into ``payload`` — no per-record copies.  Pass
-        ``copy=True`` when the record outlives the buffer it came from.
-        """
-        if len(payload) < _HEADER.size:
-            raise MeasurementDecodeError("measurement record truncated")
-        timestamp_us, digest_len, tag_len = _HEADER.unpack_from(payload)
-        expected = _HEADER.size + digest_len + tag_len
-        if len(payload) != expected:
-            raise MeasurementDecodeError(
-                f"measurement record has {len(payload)} bytes, "
-                f"expected {expected}")
-        view = memoryview(payload).toreadonly()
-        digest = view[_HEADER.size:_HEADER.size + digest_len]
-        tag = view[_HEADER.size + digest_len:]
-        if copy:
-            digest, tag = bytes(digest), bytes(tag)
+    def decode(cls, payload: Buffer) -> "Measurement":
+        """Parse the canonical wire format back into a record."""
+        _stamp, timestamp_us, digest, tag = decode_record(payload)
         return cls(timestamp=timestamp_us / 1_000_000, digest=digest, tag=tag)
 
     @property
@@ -105,3 +106,51 @@ class Measurement:
         """
         return Measurement(timestamp=timestamp, digest=self.digest,
                            tag=self.tag, duration=self.duration)
+
+
+class RecordColumns:
+    """A measurement history as parallel per-record columns.
+
+    The verify path judges these instead of :class:`Measurement`
+    objects.  ``stamps`` holds each record's 8-byte timestamp field as
+    the prover encoded it (the bytes its MAC covers), ``timestamps`` the
+    same instant in seconds, and ``digests``/``tags`` owned ``bytes``.
+    :meth:`measurements` builds record objects only when asked.
+    """
+
+    __slots__ = ("stamps", "timestamps", "digests", "tags", "_measurements")
+
+    def __init__(self, stamps: List[bytes], timestamps: List[float],
+                 digests: List[bytes], tags: List[bytes],
+                 measurements: Optional[List[Measurement]] = None) -> None:
+        self.stamps = stamps
+        self.timestamps = timestamps
+        self.digests = digests
+        self.tags = tags
+        self._measurements = measurements
+
+    @classmethod
+    def from_measurements(cls, measurements: Iterable[Measurement]
+                          ) -> "RecordColumns":
+        """Columns over in-memory records, stamped via ``encode_timestamp``."""
+        records = list(measurements)
+        return cls([encode_timestamp(m.timestamp) for m in records],
+                   [m.timestamp for m in records],
+                   [m.digest for m in records],
+                   [m.tag for m in records],
+                   measurements=records)
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def __repr__(self) -> str:
+        return f"RecordColumns(records={len(self)})"
+
+    def measurements(self) -> List[Measurement]:
+        """The records as :class:`Measurement` objects (built once)."""
+        if self._measurements is None:
+            self._measurements = [
+                Measurement(timestamp=timestamp, digest=digest, tag=tag)
+                for timestamp, digest, tag in zip(
+                    self.timestamps, self.digests, self.tags)]
+        return self._measurements

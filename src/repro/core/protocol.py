@@ -14,21 +14,38 @@ Two exchanges from the paper:
 Messages have a canonical byte encoding so they can travel over the
 simulated network (:mod:`repro.net`) and so message sizes are realistic
 for the swarm experiments.
+
+The MAC input is the wire stamp plus digest: each record's 8-byte
+``timestamp_us`` field, exactly as the prover encoded it, followed by
+the digest.  A decoded collection response keeps those stamp bytes in
+its :class:`RecordColumns`, so the verifier never re-derives them from
+float seconds.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.arch.base import encode_timestamp
-from repro.core.measurement import Buffer, Measurement, MeasurementDecodeError
+from repro.core.measurement import (
+    Buffer,
+    Measurement,
+    MeasurementDecodeError,
+    RecordColumns,
+    decode_record,
+)
 
 _COLLECT_HEADER = struct.Struct(">BI")          # message type, k
 _ONDEMAND_HEADER = struct.Struct(">BIQH")       # type, k, t_req_us, tag length
 _RESPONSE_HEADER = struct.Struct(">BH")         # message type, record count
 _RECORD_LENGTH = struct.Struct(">H")
+#: A record's length prefix plus its own ``timestamp_us, digest_len,
+#: tag_len`` header.
+_ROW_HEADER = struct.Struct(">HQHH")
+_RECORD_HEADER_SIZE = _ROW_HEADER.size - _RECORD_LENGTH.size
 
 _TYPE_COLLECT_REQUEST = 1
 _TYPE_COLLECT_RESPONSE = 2
@@ -80,18 +97,63 @@ class CollectRequest:
 
 def _measurement_parts(measurements: List[Measurement],
                        parts: List[bytes]) -> List[bytes]:
-    """Append length-prefixed record buffers to a flat writev-style list."""
+    """Append length-prefixed record buffers to a flat writev-style list.
+
+    Each record is :meth:`Measurement.encode_parts` behind its length
+    prefix, with prefix and record header packed as one buffer.
+    """
+    pack = _ROW_HEADER.pack
     for measurement in measurements:
-        record = measurement.encode_parts()
-        parts.append(_RECORD_LENGTH.pack(sum(len(p) for p in record)))
-        parts.extend(record)
+        digest, tag = measurement.digest, measurement.tag
+        parts += (pack(_RECORD_HEADER_SIZE + len(digest) + len(tag),
+                       int(round(measurement.timestamp * 1_000_000)),
+                       len(digest), len(tag)),
+                  digest, tag)
     return parts
 
 
-def _decode_measurements(payload: Buffer, count: int, *,
-                         copy: bool = False) -> List[Measurement]:
-    measurements: List[Measurement] = []
-    view = memoryview(payload).toreadonly()
+# Responses carry one digest and one tag size per device profile, so a
+# handful of layouts covers a fleet; the bound keeps crafted lengths
+# from growing the cache.
+@functools.lru_cache(maxsize=16)
+def _uniform_row(digest_len: int, tag_len: int) -> struct.Struct:
+    """One length-prefixed record: ``length, stamp, lengths, digest, tag``."""
+    return struct.Struct(f">H8sHH{digest_len}s{tag_len}s")
+
+
+def _uniform_columns(body: Buffer, count: int) -> Optional[RecordColumns]:
+    """Decode ``count`` equal-length records in one ``iter_unpack`` pass.
+
+    Only a body that is exactly ``count`` rows of the first row's layout
+    decodes here, and only if every row's length prefix, digest length
+    and tag length match the first's.  Anything else returns ``None``
+    and is left to :func:`_walk_columns`, which also names the error.
+    """
+    if not count or len(body) < _ROW_HEADER.size:
+        return None
+    length, _us, digest_len, tag_len = _ROW_HEADER.unpack_from(body)
+    if length != _RECORD_HEADER_SIZE + digest_len + tag_len \
+            or len(body) != count * (_RECORD_LENGTH.size + length):
+        return None
+    lengths, stamps, digest_lens, tag_lens, digests, tags = zip(
+        *_uniform_row(digest_len, tag_len).iter_unpack(body))
+    if lengths.count(length) != count \
+            or digest_lens.count(digest_len) != count \
+            or tag_lens.count(tag_len) != count:
+        return None
+    return RecordColumns(
+        list(stamps),
+        [int.from_bytes(stamp, "big") / 1_000_000 for stamp in stamps],
+        list(digests), list(tags))
+
+
+def _walk_columns(body: Buffer, count: int) -> RecordColumns:
+    """Decode ``count`` records one at a time (any mix of lengths)."""
+    stamps: List[bytes] = []
+    timestamps: List[float] = []
+    digests: List[bytes] = []
+    tags: List[bytes] = []
+    view = memoryview(body).toreadonly()
     offset = 0
     for _ in range(count):
         if offset + _RECORD_LENGTH.size > len(view):
@@ -100,22 +162,62 @@ def _decode_measurements(payload: Buffer, count: int, *,
         offset += _RECORD_LENGTH.size
         if offset + length > len(view):
             raise ProtocolDecodeError("truncated measurement record")
-        record = view[offset:offset + length]
-        offset += length
         try:
-            measurements.append(Measurement.decode(record, copy=copy))
+            stamp, timestamp_us, digest, tag = decode_record(
+                view[offset:offset + length])
         except MeasurementDecodeError as exc:
             raise ProtocolDecodeError(str(exc)) from exc
+        offset += length
+        stamps.append(stamp)
+        timestamps.append(timestamp_us / 1_000_000)
+        digests.append(digest)
+        tags.append(tag)
     if offset != len(view):
         raise ProtocolDecodeError("trailing bytes after measurement list")
-    return measurements
+    return RecordColumns(stamps, timestamps, digests, tags)
 
 
-@dataclass(frozen=True)
+def _decode_columns(body: Buffer, count: int) -> RecordColumns:
+    """A response's measurement list as columns (fast path first)."""
+    columns = _uniform_columns(body, count)
+    return _walk_columns(body, count) if columns is None else columns
+
+
 class CollectResponse:
-    """Prover -> verifier: the k latest stored measurements, newest first."""
+    """Prover -> verifier: the k latest stored measurements, newest first.
 
-    measurements: List[Measurement] = field(default_factory=list)
+    A prover builds one from its records.  A decoded response holds the
+    records as :class:`RecordColumns`, which is what the verifier
+    judges; :attr:`measurements` is built from them only when read.
+    """
+
+    __slots__ = ("_measurements", "_columns")
+
+    def __init__(self, measurements: Optional[List[Measurement]] = None, *,
+                 columns: Optional[RecordColumns] = None) -> None:
+        if measurements is None and columns is None:
+            measurements = []
+        self._measurements = measurements
+        self._columns = columns
+
+    @property
+    def measurements(self) -> List[Measurement]:
+        """The records as :class:`Measurement` objects."""
+        if self._measurements is None:
+            assert self._columns is not None
+            self._measurements = self._columns.measurements()
+        return self._measurements
+
+    @property
+    def columns(self) -> RecordColumns:
+        """The records as columns, the form the verifier judges."""
+        if self._columns is None:
+            assert self._measurements is not None
+            self._columns = RecordColumns.from_measurements(self._measurements)
+        return self._columns
+
+    def __repr__(self) -> str:
+        return f"CollectResponse(records={len(self.columns)})"
 
     def encode_parts(self) -> List[bytes]:
         """The wire encoding as a writev-style list of buffers."""
@@ -128,22 +230,15 @@ class CollectResponse:
         return b"".join(self.encode_parts())
 
     @classmethod
-    def decode(cls, payload: Buffer, *,
-               copy: bool = False) -> "CollectResponse":
-        """Parse the wire format.
-
-        Decoded records view ``payload`` directly by default; pass
-        ``copy=True`` to materialize independent ``bytes`` fields when
-        the records must outlive the receive buffer.
-        """
+    def decode(cls, payload: Buffer) -> "CollectResponse":
+        """Parse the wire format into a columns-backed response."""
         if len(payload) < _RESPONSE_HEADER.size:
             raise ProtocolDecodeError("malformed collect response")
         message_type, count = _RESPONSE_HEADER.unpack_from(payload)
         if message_type != _TYPE_COLLECT_RESPONSE:
             raise ProtocolDecodeError("not a collect response")
-        measurements = _decode_measurements(
-            memoryview(payload)[_RESPONSE_HEADER.size:], count, copy=copy)
-        return cls(measurements=measurements)
+        return cls(columns=_decode_columns(
+            memoryview(payload)[_RESPONSE_HEADER.size:], count))
 
     @property
     def size_bytes(self) -> int:
@@ -214,9 +309,8 @@ class OnDemandResponse:
         return b"".join(self.encode_parts())
 
     @classmethod
-    def decode(cls, payload: Buffer, *,
-               copy: bool = False) -> "OnDemandResponse":
-        """Parse the wire format (records view ``payload`` unless ``copy``)."""
+    def decode(cls, payload: Buffer) -> "OnDemandResponse":
+        """Parse the wire format."""
         minimum = _RESPONSE_HEADER.size + 1
         if len(payload) < minimum:
             raise ProtocolDecodeError("malformed on-demand response")
@@ -224,8 +318,8 @@ class OnDemandResponse:
         if message_type != _TYPE_ONDEMAND_RESPONSE:
             raise ProtocolDecodeError("not an on-demand response")
         has_fresh = payload[_RESPONSE_HEADER.size] == 1
-        records = _decode_measurements(
-            memoryview(payload)[minimum:], count, copy=copy)
+        records = _decode_columns(
+            memoryview(payload)[minimum:], count).measurements()
         if has_fresh:
             if not records:
                 raise ProtocolDecodeError("fresh measurement flagged but absent")
@@ -262,12 +356,10 @@ def decode_request(payload: Buffer) -> AnyRequest:
     return decoder(payload)
 
 
-def decode_response(payload: Buffer, *, copy: bool = False) -> AnyResponse:
+def decode_response(payload: Buffer) -> AnyResponse:
     """Decode a prover-to-verifier message by its type tag.
 
-    Decoded measurement fields are zero-copy views over ``payload`` by
-    default; ``copy=True`` materializes independent ``bytes`` for callers
-    that retain records after the buffer is recycled.
+    Decoded records own their bytes, so ``payload`` may be recycled.
     """
     if not len(payload):
         raise ProtocolDecodeError("empty response")
@@ -276,4 +368,4 @@ def decode_response(payload: Buffer, *, copy: bool = False) -> AnyResponse:
     except KeyError as exc:
         raise ProtocolDecodeError(
             f"unknown response type {payload[0]}") from exc
-    return decoder(payload, copy=copy)
+    return decoder(payload)

@@ -20,14 +20,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store.base import StateStore
 
 from repro.arch.base import encode_timestamp
 from repro.core.config import ErasmusConfig
-from repro.core.measurement import Measurement
+from repro.core.measurement import Measurement, RecordColumns
 from repro.core.protocol import (
     CollectRequest,
     CollectResponse,
@@ -72,14 +81,57 @@ class MeasurementVerdict:
         return self.authentic and self.healthy and not self.from_future
 
 
+class JudgedRecords:
+    """One judged collection: its columns plus per-record verdict flags."""
+
+    __slots__ = ("columns", "authentic", "healthy", "from_future")
+
+    def __init__(self, columns: RecordColumns, authentic: List[bool],
+                 healthy: List[bool], from_future: List[bool]) -> None:
+        self.columns = columns
+        self.authentic = authentic
+        self.healthy = healthy
+        self.from_future = from_future
+
+    def verdicts(self) -> List[MeasurementVerdict]:
+        """The flags as one :class:`MeasurementVerdict` per record."""
+        return [MeasurementVerdict(measurement=measurement,
+                                   authentic=authentic, healthy=healthy,
+                                   from_future=from_future)
+                for measurement, authentic, healthy, from_future in zip(
+                    self.columns.measurements(), self.authentic,
+                    self.healthy, self.from_future)]
+
+
+class _LazyVerdicts:
+    """``VerificationReport.verdicts``, built from judged columns on read.
+
+    A report from :class:`DeviceJudge` holds :class:`JudgedRecords`; its
+    verdict list is built the first time someone reads it.  Passing
+    ``verdicts=`` or assigning a list stores that list instead.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return ()  # the dataclass field default
+        if report._verdicts is None:
+            report._verdicts = report._judged.verdicts()
+        return report._verdicts
+
+    def __set__(self, report, verdicts) -> None:
+        report._verdicts = list(verdicts)
+        report._judged = None
+
+
 @dataclass
 class VerificationReport:
     """Outcome of verifying one collection from one prover.
 
-    A report normally carries its per-measurement verdicts; a report
-    restored from a persisted row (:meth:`from_row`) carries none, so
-    the derived counters fall back to the ``restored`` row written by
-    :meth:`to_row` — :meth:`measurement_count`,
+    A report normally carries its per-measurement verdicts — as the
+    judge's :class:`JudgedRecords`, with :attr:`verdicts` built on first
+    read; a report restored from a persisted row (:meth:`from_row`)
+    carries none, so the derived counters fall back to the ``restored``
+    row written by :meth:`to_row` — :meth:`measurement_count`,
     :meth:`infected_timestamps` and :meth:`newest_timestamp` stay
     correct either way, which is what lets a
     :class:`repro.store.StateStore` replay reports into a
@@ -89,16 +141,23 @@ class VerificationReport:
     device_id: str
     collection_time: float
     status: DeviceStatus
-    verdicts: List[MeasurementVerdict] = field(default_factory=list)
+    verdicts: List[MeasurementVerdict] = _LazyVerdicts()  # type: ignore[assignment]
     anomalies: List[str] = field(default_factory=list)
     freshness: Optional[float] = None
     missing_intervals: int = 0
     restored: Optional[Dict[str, object]] = field(
         default=None, repr=False, compare=False)
 
+    def _attach(self, judged: JudgedRecords) -> None:
+        """Carry the judge's columns and flags in place of a verdict list."""
+        self._judged = judged
+        self._verdicts = None
+
     @property
     def measurement_count(self) -> int:
         """Number of measurements received in this collection."""
+        if self._judged is not None:
+            return len(self._judged.columns)
         if self.verdicts or self.restored is None:
             return len(self.verdicts)
         return int(self.restored.get("measurements", 0))
@@ -106,6 +165,12 @@ class VerificationReport:
     @property
     def infected_timestamps(self) -> List[float]:
         """Timestamps at which the prover's state was not a known-good one."""
+        judged = self._judged
+        if judged is not None:
+            return [timestamp for timestamp, authentic, healthy in zip(
+                        judged.columns.timestamps, judged.authentic,
+                        judged.healthy)
+                    if authentic and not healthy]
         if self.verdicts or self.restored is None:
             return [verdict.measurement.timestamp
                     for verdict in self.verdicts
@@ -116,6 +181,8 @@ class VerificationReport:
     @property
     def newest_timestamp(self) -> Optional[float]:
         """Newest measurement timestamp carried by this collection."""
+        if self._judged is not None:
+            return max(self._judged.columns.timestamps)
         if self.verdicts:
             return max(verdict.measurement.timestamp
                        for verdict in self.verdicts)
@@ -372,28 +439,39 @@ class DeviceJudge:
                                                    backend=backend)
         self._compare = backend.compare_digests
 
+    def _judge(self, enrollment: Enrollment, columns: RecordColumns,
+               collection_time: float) -> JudgedRecords:
+        """Flag each record: MAC over stamp plus digest, known-good, future."""
+        mac, compare = self._mac, self._compare
+        digests = enrollment.healthy_digests
+        horizon = collection_time + 1e-6
+        return JudgedRecords(
+            columns,
+            authentic=[compare(mac(stamp + digest), tag)
+                       for stamp, digest, tag in zip(
+                           columns.stamps, columns.digests, columns.tags)],
+            # statics: ok(constant-time) — public whitelist membership
+            healthy=[digest in digests for digest in columns.digests],
+            from_future=[timestamp > horizon
+                         for timestamp in columns.timestamps])
+
     def verdicts(self, enrollment: Enrollment,
                  measurements: Iterable[Measurement],
                  collection_time: float) -> List[MeasurementVerdict]:
         """Judge each measurement: MAC, known-good digest, plausibility."""
-        mac, compare = self._mac, self._compare
-        digests = enrollment.healthy_digests
-        horizon = collection_time + 1e-6
-        return [MeasurementVerdict(
-            measurement=measurement,
-            authentic=compare(mac(measurement.authenticated_payload()),
-                              measurement.tag),
-            # statics: ok(constant-time) — public whitelist membership
-            healthy=measurement.digest in digests,
-            from_future=measurement.timestamp > horizon)
-            for measurement in measurements]
+        return self._judge(enrollment,
+                           RecordColumns.from_measurements(measurements),
+                           collection_time).verdicts()
 
     def verify_measurements(self, enrollment: Enrollment,
-                            measurements: List[Measurement],
+                            records: Union[RecordColumns,
+                                           Sequence[Measurement]],
                             collection_time: float) -> VerificationReport:
         """Verify one measurement history against the enrollment facts.
 
-        No verifier state is read or written, so callers own all
+        ``records`` is a decoded response's :class:`RecordColumns` or a
+        list of :class:`Measurement` (converted to columns once).  No
+        verifier state is read or written, so callers own all
         bookkeeping (report history, newest-seen timestamps).  An empty
         history is itself an anomaly: a prover always holds records.
         """
@@ -401,13 +479,15 @@ class DeviceJudge:
         report = VerificationReport(device_id=enrollment.device_id,
                                     collection_time=collection_time,
                                     status=DeviceStatus.HEALTHY)
-        if not measurements:
+        if not isinstance(records, RecordColumns):
+            records = RecordColumns.from_measurements(records)
+        if not len(records):
             report.status = DeviceStatus.TAMPERED
             report.anomalies.append("prover returned no measurements")
             return report
-        report.verdicts = self.verdicts(enrollment, measurements,
-                                        collection_time)
-        timestamps = [measurement.timestamp for measurement in measurements]
+        judged = self._judge(enrollment, records, collection_time)
+        report._attach(judged)
+        timestamps = records.timestamps
         report.missing_intervals, schedule_anomalies = core.check_schedule(
             sorted(timestamps), enrollment.last_seen)
         report.anomalies.extend(schedule_anomalies)
@@ -422,21 +502,18 @@ class DeviceJudge:
             report.missing_intervals += max(
                 1, int(report.freshness / expected_interval) - 1)
 
-        forged = [verdict for verdict in report.verdicts
-                  if not verdict.authentic]
-        future = [verdict for verdict in report.verdicts if verdict.from_future]
-        infected = [verdict for verdict in report.verdicts
-                    if verdict.authentic and not verdict.healthy]
+        forged = judged.authentic.count(False)
+        future = judged.from_future.count(True)
 
         if forged or future or schedule_anomalies:
             report.status = DeviceStatus.TAMPERED
             if forged:
                 report.anomalies.append(
-                    f"{len(forged)} measurement(s) failed MAC verification")
+                    f"{forged} measurement(s) failed MAC verification")
             if future:
                 report.anomalies.append(
-                    f"{len(future)} measurement(s) are timestamped in the future")
-        elif infected:
+                    f"{future} measurement(s) are timestamped in the future")
+        elif report.infected_timestamps:
             report.status = DeviceStatus.INFECTED
         elif report.missing_intervals > core.allowed_missing:
             # Gaps without other anomalies: measurements were deleted or
@@ -602,7 +679,7 @@ class BaseVerifier:
         """Verify a plain ERASMUS collection (Figure 2, verifier side)."""
         enrollment = self._enrollment_for(device_id)
         report = self._judge_for(enrollment).verify_measurements(
-            enrollment, list(response.measurements), collection_time)
+            enrollment, response.columns, collection_time)
         return self._commit(report)
 
     def _commit(self, report: VerificationReport) -> VerificationReport:

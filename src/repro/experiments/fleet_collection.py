@@ -287,23 +287,28 @@ def run_obs_comparison(device_count: int = 1000,
     and differ only in instrumentation: ``baseline`` and ``null`` time
     the identical code path (``obs=None`` resolves to the null object),
     while ``observed`` pays the real metric/trace/store-wrap cost of a
-    fully enabled :class:`repro.obs.Observability`.  Each row is the
-    best of ``repeats`` attempts with a fresh observability object, the
-    same best-of policy as :func:`run_store_comparison`.
+    fully enabled :class:`repro.obs.Observability`.  Repeats interleave
+    the modes round-robin — each repeat times every mode once — so a
+    machine slowing down mid-run weighs on all modes alike.  Each row is
+    the best of its mode's ``repeats`` attempts (the same best-of policy
+    as :func:`run_store_comparison`) and lists every attempt's
+    devices/second, in repeat order, as ``repeat_devices_per_second``
+    for per-repeat ratios between modes.
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     asyncio.run(asyncio.sleep(0))  # one-time loop bootstrap, unmeasured
+    attempts: Dict[str, List[Dict[str, object]]] = {mode: [] for mode in modes}
+    for _ in range(repeats):
+        for mode in modes:
+            attempts[mode].append(run_round(transport, device_count,
+                                            obs=_obs_for_mode(mode)))
     rows: List[Dict[str, object]] = []
     for mode in modes:
-        best: Optional[Dict[str, object]] = None
-        for _ in range(repeats):
-            row = run_round(transport, device_count,
-                            obs=_obs_for_mode(mode))
-            if best is None or row["wall_time_s"] < best["wall_time_s"]:
-                best = row
-        assert best is not None
+        best = min(attempts[mode], key=lambda row: row["wall_time_s"])
         best["obs"] = mode
+        best["repeat_devices_per_second"] = [
+            row["devices_per_second"] for row in attempts[mode]]
         rows.append(best)
     return rows
 

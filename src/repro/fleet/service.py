@@ -277,49 +277,35 @@ class FleetVerifier(BaseVerifier):
     # ------------------------------------------------------------------
     # Single-response verification (verify_collection inherited)
     # ------------------------------------------------------------------
-    def _decode_collection(self, device_id: str, payload: Optional[bytes],
-                           collection_time: float):
-        """Decode one raw transport response.
+    def _verify_payload(self, device_id: str, payload: Optional[bytes],
+                        collection_time: float) -> VerificationReport:
+        """Judge one raw transport response (``None`` = never answered).
 
-        Returns ``(report, None)`` when the payload already determines
-        the outcome (no answer, undecodable, wrong response type) and
-        ``(None, measurements)`` when the measurement history still
-        needs judging.
+        The one per-device verify step: the inline shard step and the
+        worker processes (:mod:`repro.fleet.workers`) both call it.  The
+        response is decoded into record columns and judged as such.
         """
+        enrollment = self._enrollment_for(device_id)
         if payload is None:
             return VerificationReport(
                 device_id=device_id, collection_time=collection_time,
                 status=DeviceStatus.NO_DATA,
-                anomalies=["no response received"]), None
+                anomalies=["no response received"])
         try:
             response = decode_response(payload)
         except ProtocolDecodeError as exc:
             return VerificationReport(
                 device_id=device_id, collection_time=collection_time,
                 status=DeviceStatus.TAMPERED,
-                anomalies=[f"response could not be decoded: {exc}"]), None
+                anomalies=[f"response could not be decoded: {exc}"])
         if isinstance(response, OnDemandResponse):
             return VerificationReport(
                 device_id=device_id, collection_time=collection_time,
                 status=DeviceStatus.TAMPERED,
                 anomalies=["unexpected on-demand response to a plain "
-                           "collection"]), None
-        return None, list(response.measurements)
-
-    def _verify_payload(self, device_id: str, payload: Optional[bytes],
-                        collection_time: float) -> VerificationReport:
-        """Judge one raw transport response (``None`` = never answered).
-
-        The one per-device verify step: the inline shard step and the
-        worker processes (:mod:`repro.fleet.workers`) both call it.
-        """
-        enrollment = self._enrollment_for(device_id)
-        report, measurements = self._decode_collection(
-            device_id, payload, collection_time)
-        if report is not None:
-            return report
+                           "collection"])
         return self._judge_for(enrollment).verify_measurements(
-            enrollment, measurements, collection_time)
+            enrollment, response.columns, collection_time)
 
     def _commit(self, report: VerificationReport, *,
                 fold: bool = True) -> VerificationReport:

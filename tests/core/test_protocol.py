@@ -1,5 +1,8 @@
 """Tests for the protocol message encodings."""
 
+import functools
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,13 +228,134 @@ def test_ondemand_response_roundtrip_property(timestamps, with_fresh):
     assert len(decoded.measurements) == len(timestamps)
 
 
+# ----------------------------------------------------------------------
+# Columnar decode: the uniform fast path and the per-record walk agree
+# ----------------------------------------------------------------------
+
+_RECORD_HEADER = struct.Struct(">QHH")
+
+stamps = st.integers(min_value=0, max_value=2 ** 64 - 1)
+raw_records = st.tuples(stamps, st.binary(max_size=40), st.binary(max_size=40))
+
+
+def encode_raw(records):
+    """A collect response of ``(stamp_us, digest, tag)`` records, verbatim."""
+    parts = [struct.pack(">BH", 2, len(records))]
+    for stamp_us, digest, tag in records:
+        record = _RECORD_HEADER.pack(stamp_us, len(digest), len(tag)) + \
+            digest + tag
+        parts += [struct.pack(">H", len(record)), record]
+    return b"".join(parts)
+
+
+def columns_key(columns):
+    return tuple(list(column) for column in (
+        columns.stamps, columns.timestamps, columns.digests, columns.tags))
+
+
+def walk_error(body, count):
+    from repro.core.protocol import _walk_columns
+    with pytest.raises(ProtocolDecodeError) as caught:
+        _walk_columns(body, count)
+    return str(caught.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.lists(raw_records, max_size=8),
+    # Same lengths throughout: the shape the fast path accepts.
+    st.integers(min_value=0, max_value=40).flatmap(
+        lambda size: st.lists(st.tuples(
+            stamps, st.binary(min_size=size, max_size=size),
+            st.binary(min_size=size, max_size=size)), max_size=8))))
+def test_uniform_and_walk_decoders_agree(records):
+    from repro.core.protocol import (
+        _RESPONSE_HEADER,
+        _uniform_columns,
+        _walk_columns,
+    )
+    body = encode_raw(records)[_RESPONSE_HEADER.size:]
+    walked = _walk_columns(body, len(records))
+    assert columns_key(walked) == (
+        [struct.pack(">Q", stamp_us) for stamp_us, _d, _t in records],
+        [stamp_us / 1_000_000 for stamp_us, _d, _t in records],
+        [digest for _s, digest, _t in records],
+        [tag for _s, _d, tag in records])
+    uniform = _uniform_columns(body, len(records))
+    shapes = {(len(digest), len(tag)) for _s, digest, tag in records}
+    if len(shapes) == 1:
+        assert uniform is not None
+        assert columns_key(uniform) == columns_key(walked)
+    else:
+        assert uniform is None
+    decoded = CollectResponse.decode(encode_raw(records))
+    assert columns_key(decoded.columns) == columns_key(walked)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(raw_records, min_size=1, max_size=6),
+       st.sampled_from(["truncate", "extend", "trail", "overcount",
+                        "undercount"]),
+       st.integers(min_value=1, max_value=60))
+def test_decoders_raise_the_same_errors(records, corruption, amount):
+    from repro.core.protocol import (
+        _RESPONSE_HEADER,
+        _decode_columns,
+        _uniform_columns,
+    )
+    body = encode_raw(records)[_RESPONSE_HEADER.size:]
+    count = len(records)
+    if corruption == "truncate":
+        body = body[:max(0, len(body) - amount)]
+    elif corruption == "extend":
+        # The first record claims ``amount`` more bytes than it holds.
+        (length,) = struct.unpack_from(">H", body)
+        body = struct.pack(">H", length + amount) + body[2:]
+    elif corruption == "trail":
+        body += b"\x00" * amount
+    elif corruption == "overcount":
+        count += amount
+    else:
+        count -= 1
+    expected = walk_error(body, count)
+    assert _uniform_columns(body, count) is None
+    with pytest.raises(ProtocolDecodeError) as caught:
+        _decode_columns(body, count)
+    assert str(caught.value) == expected
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.binary(min_size=0, max_size=80))
-def test_decoders_never_crash_on_fuzz(payload):
-    """Arbitrary bytes either decode cleanly or raise ProtocolDecodeError."""
+@given(st.binary(min_size=0, max_size=80),
+       st.lists(raw_records, max_size=6))
+def test_decoders_never_crash_on_fuzz(payload, records):
+    """Arbitrary bytes either decode cleanly or raise ProtocolDecodeError.
+
+    The fleet verify step never raises at all: not on arbitrary bytes,
+    nor on well-formed records carrying arbitrary 64-bit stamps.
+    """
     from repro.core.protocol import decode_request, decode_response
     for decoder in (decode_request, decode_response):
         try:
             decoder(payload)
         except ProtocolDecodeError:
             pass
+    verifier = _fuzz_verifier()
+    for body in (payload, encode_raw(records)):
+        report = verifier._verify_payload("fuzz-device", body, 100.0)
+        assert report.status.value in ("healthy", "infected", "tampered")
+        report.to_row()
+
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_verifier():
+    """One enrolled fleet verifier, shared across fuzz examples.
+
+    ``_verify_payload`` judges without committing, so examples cannot
+    leak state into each other through it.
+    """
+    from repro.core import ErasmusConfig
+    from repro.fleet import FleetVerifier
+    verifier = FleetVerifier(ErasmusConfig())
+    verifier.enroll("fuzz-device", b"fuzz-key", [b"\x00" * 32])
+    return verifier
