@@ -10,7 +10,8 @@ Two collection paths are recorded on identical fleets:
 * ``async`` — the single-verifier ``collect_all`` default (awaitable
   transport seam, shards verified as their exchanges settle);
 * ``sharded`` — :class:`repro.fleet.ShardedFleetVerifier` draining the
-  fleet across four shard workers.
+  fleet across four shards, each verified in its own worker process
+  (started before the timed round).
 
 Both must verify the whole 1,000-device fleet healthy with no request
 lost.

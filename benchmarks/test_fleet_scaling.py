@@ -1,11 +1,11 @@
 """Benchmark: multi-process fleet scaling (devices/second vs workers).
 
 Runs full fleet rounds through :mod:`repro.experiments.fleet_scaling`
-and records the devices/second ladder — pipelined single-process
-baseline, sharded loop mode, and ``worker_mode="process"`` at several
-worker counts — in the benchmark's ``extra_info``, so successive
-scaling PRs have a fixed yardstick (CI uploads the JSON as the
-``BENCH_fleet_scaling`` artifact).
+and records the devices/second ladder — the pipelined single-process
+baseline, then the sharded verifier (one worker process per shard) at
+several worker counts — in the benchmark's ``extra_info``, so
+successive scaling changes have a fixed yardstick (CI uploads the
+JSON as the ``BENCH_fleet_scaling`` artifact).
 
 Two invariants gate the ladder:
 

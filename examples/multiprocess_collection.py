@@ -7,10 +7,10 @@ The single-process ceiling falls in two places at once:
   datagrams on the loopback interface (``transport="socket"``), with a
   TCP fallback for responses too large for one datagram, instead of an
   in-process function call;
-* **verification** — a ``ShardedFleetVerifier`` with
-  ``worker_mode="process"`` ships each shard's response batches to
-  spawned worker processes over a compact binary pipe codec and merges
-  the per-shard ``FleetHealth`` parts that come home.
+* **verification** — ``shards=4`` provisions a ``ShardedFleetVerifier``
+  that ships each shard's response batches to its own worker process
+  over a compact binary pipe codec and merges the per-shard
+  ``FleetHealth`` parts that come home.
 
 The parent keeps all authoritative state (enrollments, store, sinks);
 workers are stateless verification engines.  Provisioning is
@@ -35,8 +35,7 @@ MALWARE = b"persistent-implant!" + bytes(210)
 MASTER_SECRET = b"factory-floor-master-secret"
 
 
-def provision(count, shards=None, worker_mode="loop",
-              transport="in-process") -> Fleet:
+def provision(count, shards=None, transport="in-process") -> Fleet:
     """One deterministic fleet, measured up to the collection time."""
     profile = DeviceProfile.smartplus(firmware=FIRMWARE,
                                       application_size=512,
@@ -44,8 +43,7 @@ def provision(count, shards=None, worker_mode="loop",
                                       collection_interval=600.0,
                                       buffer_slots=16)
     fleet = Fleet.provision(profile, count, master_secret=MASTER_SECRET,
-                            shards=shards, worker_mode=worker_mode,
-                            transport=transport)
+                            shards=shards, transport=transport)
     fleet.run_until(300.0)
     for device_id in INFECTED:
         if count > int(device_id.rpartition("-")[2]):
@@ -67,8 +65,7 @@ def main() -> None:
 
     print(f"provisioning two deterministic twins of {count} devices...")
     baseline_fleet = provision(count)
-    process_fleet = provision(count, shards=WORKERS, worker_mode="process",
-                              transport="socket")
+    process_fleet = provision(count, shards=WORKERS, transport="socket")
     # Spawn the 4 workers and ship enrollments before timing: the
     # numbers below are steady-state rounds, not process cold start.
     process_fleet.verifier.warm_up()

@@ -26,7 +26,8 @@ DEFAULT_TRANSPORTS: Sequence[str] = ("in-process", "simulated-network",
 
 #: Collection-path variants compared by :func:`run_concurrency_comparison`:
 #: ``async`` is the single-verifier ``collect_all`` default, ``sharded``
-#: the :class:`repro.fleet.ShardedFleetVerifier`.
+#: the :class:`repro.fleet.ShardedFleetVerifier` (one worker process per
+#: shard).
 COLLECTION_MODES: Sequence[str] = ("async", "sharded")
 
 #: Store backends compared by :func:`run_store_comparison`; ``baseline``
@@ -85,6 +86,10 @@ def run_round(transport: str, device_count: int,
                                 obs=obs)
         provisioned = time.perf_counter()
         fleet.run_until(horizon)
+        if mode == "sharded":
+            # Start the worker processes and ship enrollments outside
+            # the measured window: the row is a steady-state round.
+            fleet.verifier.warm_up()
         # Provisioning and measuring allocate millions of objects; sweep
         # the resulting garbage *before* the collect window so a stray
         # gen-2 GC pause (~tens of ms, comparable to the whole round)

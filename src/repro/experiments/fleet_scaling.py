@@ -5,11 +5,9 @@ own fleet service beyond the single-process ceiling: one batched
 ``collect_all`` round over the same provisioned fleet, driven through
 
 * the pipelined single-process ``collect_all`` (``async-baseline``),
-* the sharded verifier with every shard on one event loop
-  (``sharded-loop``), and
-* the sharded verifier with ``worker_mode="process"``
-  (``sharded-process``) — wire exchange in the parent, verification
-  fanned out to spawned worker processes.
+  and
+* the sharded verifier (``sharded-process``) — wire exchange in the
+  parent, verification fanned out to one worker process per shard.
 
 Provisioning is deterministic (profile plus master secret), so every
 mode verifies an identical fleet with identical measurement histories;
@@ -33,8 +31,7 @@ from repro.experiments.fleet_collection import default_profile
 from repro.fleet import DeviceProfile, Fleet
 
 #: Collection paths compared by :func:`run_scaling_comparison`.
-SCALING_MODES: Sequence[str] = ("async-baseline", "sharded-loop",
-                                "sharded-process")
+SCALING_MODES: Sequence[str] = ("async-baseline", "sharded-process")
 
 
 def run_round(mode: str, device_count: int, workers: int = 4,
@@ -43,8 +40,8 @@ def run_round(mode: str, device_count: int, workers: int = 4,
               horizon: Optional[float] = None) -> Dict[str, object]:
     """One full fleet round through one collection path; returns a row.
 
-    ``workers`` is the shard/worker-process count for the sharded
-    modes (the baseline ignores it).  The row's ``health_sha256``
+    ``workers`` is the worker-process count for the sharded mode (the
+    baseline ignores it).  The row's ``health_sha256``
     fingerprints the merged fleet-health row — equal fingerprints mean
     the round produced byte-identical health no matter where
     verification ran.
@@ -63,12 +60,10 @@ def run_round(mode: str, device_count: int, workers: int = 4,
             profile, device_count,
             master_secret=b"fleet-scaling-master-secret",
             transport=transport,
-            shards=workers if sharded else None,
-            worker_mode="process" if mode == "sharded-process"
-            else "loop") as fleet:
+            shards=workers if sharded else None) as fleet:
         provisioned = time.perf_counter()
         fleet.run_until(horizon)
-        if mode == "sharded-process":
+        if sharded:
             # Spawn the workers and ship enrollments outside the
             # measured window: the row characterizes a steady-state
             # round, not the one-time process cold start.
@@ -102,7 +97,7 @@ def run_scaling_comparison(device_count: int = 1000,
                            worker_counts: Sequence[int] = (1, 2, 4),
                            transport: str = "in-process",
                            repeats: int = 1) -> List[Dict[str, object]]:
-    """The scaling table: baseline plus both sharded modes per count.
+    """The scaling table: baseline plus the sharded mode per count.
 
     Each row is the best of ``repeats`` attempts (fresh fleet per
     attempt, ranked by ``collect_s``) — a round lasts ~100 ms, so one
@@ -127,9 +122,8 @@ def run_scaling_comparison(device_count: int = 1000,
         return best
 
     rows = [best_of("async-baseline", 1)]
-    for workers in worker_counts:
-        rows.append(best_of("sharded-loop", workers))
-        rows.append(best_of("sharded-process", workers))
+    rows.extend(best_of("sharded-process", workers)
+                for workers in worker_counts)
     fingerprint = rows[0]["health_sha256"]
     for row in rows:
         if row["health_sha256"] != fingerprint:

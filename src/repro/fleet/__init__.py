@@ -9,15 +9,14 @@ attestation as a many-device service rather than a pairwise exchange:
   MAC, crypto backend);
 * :mod:`repro.fleet.transport` — :class:`Transport` implementations
   (in-process, simulated packet network, swarm relay tree) that all
-  speak the canonical wire encoding, plus the awaitable
-  :class:`AsyncTransport` seam (:func:`as_async_transport`) the
-  collection pipeline drives;
+  speak the canonical wire encoding, plus the awaitable view
+  (:func:`as_async_transport`) the collection pipeline drives;
 * :mod:`repro.fleet.service` — :class:`FleetVerifier` (an async-first
   ``collect_all`` round judging every response with the device's
   :class:`~repro.core.verification.DeviceJudge`, with the synchronous
   call kept as a thin shim), the
-  :class:`ShardedFleetVerifier` (N shard workers, merged
-  :class:`FleetHealth`) and the :class:`Fleet` facade;
+  :class:`ShardedFleetVerifier` (N verification worker processes,
+  merged :class:`FleetHealth`) and the :class:`Fleet` facade;
 * :mod:`repro.fleet.sinks` — pluggable report sinks (in-memory, JSONL,
   :class:`FleetHealth` aggregation) and per-round :class:`RoundStats`.
 
@@ -72,7 +71,6 @@ from repro.fleet.sinks import (
     report_to_row,
 )
 from repro.fleet.transport import (
-    AsyncTransport,
     InProcessTransport,
     SimulatedNetworkTransport,
     SocketTransport,
@@ -85,7 +83,6 @@ from repro.fleet.transport import (
 from repro.fleet.workers import WorkerCrashed, WorkerError, WorkerPool
 
 __all__ = [
-    "AsyncTransport",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_MAX_INFLIGHT_SHARDS",
     "DeviceProfile",

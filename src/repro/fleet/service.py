@@ -167,11 +167,11 @@ class FleetVerifier(BaseVerifier):
 
     * inline (the default) — the shard is judged in this process, and
       every report is committed through :meth:`_commit`;
-    * worker process — once a process-mode
-      :class:`ShardedFleetVerifier` binds this verifier to a pool slot,
-      the shard ships to that worker process, and its report rows come
-      back through :meth:`apply_worker_batch`; a crashed worker turns
-      the shard into ``NO_DATA`` reports counted as lost.
+    * worker process — once a :class:`ShardedFleetVerifier` binds this
+      verifier to a pool slot, the shard ships to that worker process,
+      and its report rows come back through :meth:`apply_worker_batch`;
+      a crashed worker turns the shard into ``NO_DATA`` reports counted
+      as lost.
 
     Both steps run :meth:`_verify_payload`.  :meth:`collect_all` is
     the synchronous shim over the loop.
@@ -197,8 +197,8 @@ class FleetVerifier(BaseVerifier):
         # fractions of one fleet round, which the sharded collect_all
         # records once, merged, instead.
         self._obs_record_rounds = True
-        # (pool, slot) once a process-mode ShardedFleetVerifier binds
-        # this verifier to a worker process; selects the verify step.
+        # (pool, slot) once a ShardedFleetVerifier binds this verifier
+        # to a worker process; selects the verify step.
         self._worker_slot: Optional[Tuple[WorkerPool, int]] = None
         self._closed = False
 
@@ -487,10 +487,10 @@ class FleetVerifier(BaseVerifier):
         transports the reports do not depend on either.
 
         ``transport`` may be a synchronous :class:`Transport` (adapted
-        automatically), an :class:`~repro.fleet.transport.
-        AsyncTransport`, or anything exposing a native
-        ``exchange_many_async`` such as the simulated network — whose
-        rounds then genuinely overlap in virtual time.
+        automatically), anything whose ``exchange_many`` is a coroutine
+        function, or anything exposing a native ``exchange_many_async``
+        such as the simulated network — whose rounds then genuinely
+        overlap in virtual time.
         """
         if max_inflight_shards <= 0:
             raise ValueError("max_inflight_shards must be positive")
@@ -624,10 +624,9 @@ class FleetVerifier(BaseVerifier):
         The payloads and current ``last_seen`` snapshots travel to the
         bound pool slot as one binary task; the worker returns report
         rows and one :class:`FleetHealth` part, which the commit step
-        applies through :meth:`apply_worker_batch`.  Per-device spans
-        are not recorded (the verify happens in another process);
-        verify latency still feeds the shard histogram from
-        worker-measured timings.
+        applies through :meth:`apply_worker_batch`.  Verify latency
+        feeds the shard histogram from worker-measured timings, and
+        each returned row records its device span here.
 
         If the worker crashes holding the task, the responses are
         unverifiable: the shard's devices are committed ``NO_DATA`` and
@@ -644,16 +643,23 @@ class FleetVerifier(BaseVerifier):
             body = await asyncio.wrap_future(pool.submit_task(
                 slot, shard_time, entries, want_timings=obs.enabled))
         except WorkerCrashed:
-            return {}, lambda: [self._commit(VerificationReport(
+            lost = [VerificationReport(
                 device_id=device_id, collection_time=shard_time,
                 status=DeviceStatus.NO_DATA,
-                anomalies=["shard worker crashed; response discarded"]))
+                anomalies=["shard worker crashed; response discarded"])
                 for device_id in shard]
+            for report in lost:
+                obs.record_device_verify(shard_span, report.device_id,
+                                         report.status.value)
+            return {}, lambda: [self._commit(report) for report in lost]
         rows, health_row, timings = decode_result(body)
-        if timings is not None:
+        if obs.enabled:
             observe = obs.verify_observer(self.obs_shard).observe
             for timing in timings:
                 observe(timing)
+            for row in rows:
+                obs.record_device_verify(shard_span, row["device_id"],
+                                         row["status"])
         return responses, lambda: self.apply_worker_batch(rows, health_row)
 
 
@@ -718,18 +724,20 @@ class _LockedStore(StateStore):
 
 
 class ShardedFleetVerifier:
-    """N shard workers draining one fleet concurrently, one merged view.
+    """N shard workers draining one fleet in N processes, one merged view.
 
     The fleet's devices are assigned round-robin to ``shards`` inner
     :class:`FleetVerifier` workers.  A collection round runs every
     worker's :meth:`FleetVerifier.collect_all_async` pipeline over its
-    own shard, all of them overlapping cooperatively on one event loop
-    through the awaitable transport seam (in virtual time on the
-    simulated network, through its per-round settlement tracking).
+    own shard, all overlapping on one event loop through the awaitable
+    transport seam, and each settled batch is verified in that
+    worker's own process (see :mod:`repro.fleet.workers`), outside
+    this process's GIL.
 
-    Workers share one :class:`~repro.store.StateStore` (behind a lock),
-    so enrollments and the report journal land in a single durable
-    state, and their per-shard :class:`FleetHealth` aggregates merge —
+    This process keeps all authoritative state.  Workers share one
+    :class:`~repro.store.StateStore` (behind a lock), so enrollments and
+    the report journal land in a single durable state, and the
+    :class:`FleetHealth` parts the worker processes ship home merge —
     exactly, see :meth:`FleetHealth.merged` — into the fleet-wide
     :attr:`health`.  Reports are re-ordered into enrollment order
     before hitting the sinks, so on a clean round the sink output is
@@ -741,22 +749,10 @@ class ShardedFleetVerifier:
     interleaves commit and emit per report, stops both at the failure
     point.
 
-    ``worker_mode`` selects each worker pipeline's verify step:
-
-    * ``"loop"`` (the default) — inline, in this process.  ERASMUS
-      verification is pure Python plus small-buffer C crypto that
-      never releases the GIL, so in-process parallelism would buy lock
-      contention, not speed.
-    * ``"process"`` — one spawned worker *process* per shard (see
-      :mod:`repro.fleet.workers`): the HMAC-heavy verify loop runs
-      outside this process's GIL entirely, fed over binary pipes with
-      zero-copy payload views on the worker side.  The parent keeps
-      the shared store, sinks and enrollments; workers ship report
-      rows and exact :class:`FleetHealth` parts home, so the merged
-      health stays byte-identical to ``"loop"`` mode.  Workers spawn
-      lazily on the first round, re-sync enrollments only when keys or
-      whitelists change, and a crashed worker's outstanding batches
-      finish as lost devices before it rejoins the next round.
+    Worker processes start on :meth:`warm_up` or the first round,
+    re-sync enrollments only when keys or whitelists change, and a
+    crashed worker's outstanding batches finish as lost devices before
+    it rejoins the next round.
     """
 
     def __init__(self, config: ErasmusConfig, shards: int = 4,
@@ -764,14 +760,9 @@ class ShardedFleetVerifier:
                  allowed_missing: int = 0,
                  sinks: Iterable[ReportSink] = (),
                  store: Optional[StateStore] = None,
-                 worker_mode: str = "loop",
                  obs: Optional["Observability"] = None) -> None:
         if shards < 1:
             raise ValueError("a sharded verifier needs at least one shard")
-        if worker_mode not in ("loop", "process"):
-            raise ValueError(f"unknown worker mode {worker_mode!r}; "
-                             f"expected 'loop' or 'process'")
-        self.worker_mode = worker_mode
         self.config = config
         self.shards = shards
         self.schedule_tolerance = schedule_tolerance
@@ -784,6 +775,10 @@ class ShardedFleetVerifier:
         # backend's own rather than lock-wait time.
         shared = _LockedStore(store) if store is not None else None
         self._shared_store = shared
+        #: One verification process per shard, started on first use.
+        self.worker_pool = WorkerPool(
+            shards, config=config, schedule_tolerance=schedule_tolerance,
+            allowed_missing=allowed_missing, obs=self.obs)
         self.workers: List[FleetVerifier] = [
             FleetVerifier(config, schedule_tolerance=schedule_tolerance,
                           allowed_missing=allowed_missing, sinks=(),
@@ -794,54 +789,27 @@ class ShardedFleetVerifier:
             # round is recorded once, merged, by collect_all below.
             worker.obs_shard = str(index)
             worker._obs_record_rounds = False
+            worker._worker_slot = (self.worker_pool, index)
         self._order: List[str] = []
         self._shard_of: Dict[str, int] = {}
         self.rounds_completed = 0
         self._round_stats: List[RoundStats] = []
-        # Process-mode machinery: the pool spawns lazily on the first
-        # round; _worker_sync caches (generation, enrollment epoch) per
-        # slot so enrollment mirrors re-ship only when material changed
-        # or the slot respawned.
-        self._pool: Optional[WorkerPool] = None
+        # (generation, enrollment epoch) per slot, so enrollment mirrors
+        # re-ship only when material changed or the slot respawned.
         self._worker_sync: List[Optional[tuple]] = [None] * shards
         self._closed = False
 
-    @property
-    def worker_pool(self) -> Optional[WorkerPool]:
-        """The process pool, once the first process-mode round spawned it."""
-        return self._pool
-
-    def _ensure_pool(self) -> WorkerPool:
-        """The process pool, spawned once, each worker bound to its slot."""
-        if self._pool is None:
-            self._pool = WorkerPool(self.shards, config=self.config,
-                                    schedule_tolerance=self.schedule_tolerance,
-                                    allowed_missing=self.allowed_missing,
-                                    obs=self.obs)
-            for index, worker in enumerate(self.workers):
-                worker._worker_slot = (self._pool, index)
-        return self._pool
-
     def warm_up(self) -> None:
-        """Spawn worker processes and ship enrollments ahead of a round.
+        """Start the worker processes and ship enrollments ahead of a round.
 
-        Process mode pays its one-time costs — spawning the workers
-        (interpreter + import per process) and shipping each shard's
-        enrollment mirror — lazily inside the first ``collect_all``.
-        Call this first to take that cold start out of the first
-        round's latency (benchmarks measure steady-state rounds this
-        way).  No-op for the in-process worker modes.
+        Takes this one-time cold start out of the first ``collect_all``
+        (benchmarks measure steady-state rounds this way).
         """
-        if self.worker_mode != "process":
-            return
+        asyncio.run(self._sync_worker_processes())
 
-        async def _warm() -> None:
-            await self._sync_worker_processes(self._ensure_pool())
-
-        asyncio.run(_warm())
-
-    async def _sync_worker_processes(self, pool: WorkerPool) -> None:
+    async def _sync_worker_processes(self) -> None:
         """Spawn/respawn slots and re-ship changed enrollment mirrors."""
+        pool = self.worker_pool
         waits = []
         indices = []
         for index, worker in enumerate(self.workers):
@@ -949,10 +917,10 @@ class ShardedFleetVerifier:
                     ) -> RoundReports:
         """One fleet-wide round: all shard workers drain concurrently.
 
-        In ``"process"`` mode the worker processes are first spawned
-        (or respawned) and re-synced where enrollments changed; then
-        every shard worker's :meth:`FleetVerifier.collect_all_async`
-        pipeline runs, all gathered on one event loop.
+        The worker processes are first spawned (or respawned) and
+        re-synced where enrollments changed; then every shard worker's
+        :meth:`FleetVerifier.collect_all_async` pipeline runs, all
+        gathered on one event loop.
         """
         _ensure_no_running_loop(
             "drive sharded rounds from synchronous code — the round "
@@ -970,8 +938,7 @@ class ShardedFleetVerifier:
         started = _time.perf_counter()
 
         async def _gather() -> List[RoundReports]:
-            if self.worker_mode == "process":
-                await self._sync_worker_processes(self._ensure_pool())
+            await self._sync_worker_processes()
             return list(await asyncio.gather(*[
                 worker.collect_all_async(
                     transport, collection_time, k=k, device_ids=ids,
@@ -1020,13 +987,12 @@ class ShardedFleetVerifier:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close fleet-level sinks, the shared store and any worker pool
+        """Close the worker pool, fleet-level sinks and the shared store
         (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.close()
+        self.worker_pool.close()
         _close_released(self.sinks, self.store)
 
 
@@ -1083,7 +1049,7 @@ class Fleet:
                   start_time: float = 0.0,
                   transport_options: Optional[Mapping[str, object]] = None,
                   shards: Optional[int] = None,
-                  worker_mode: str = "loop",
+                  worker_mode: Optional[str] = None,
                   obs: Optional["Observability"] = None
                   ) -> "Fleet":
         """Provision ``count`` devices from one profile, ready to attest.
@@ -1100,11 +1066,11 @@ class Fleet:
         the verifier with a :class:`repro.store.StateStore` so the
         deployment can be resumed after a verifier restart (see
         :meth:`FleetVerifier.restore`).  ``shards`` provisions the
-        fleet onto a :class:`ShardedFleetVerifier` with that many
-        concurrent shard workers instead of a single
-        :class:`FleetVerifier`; ``worker_mode`` then selects where the
-        shards are verified (``"loop"``: inline, or ``"process"``: in
-        worker processes — see :class:`ShardedFleetVerifier`).
+        fleet onto a :class:`ShardedFleetVerifier` that verifies in that
+        many worker processes, instead of a single in-process
+        :class:`FleetVerifier`.  ``worker_mode`` only restates that
+        choice: ``'loop'`` when ``shards`` is ``None``, ``'process'``
+        when it is set; any other value raises :class:`ValueError`.
 
         ``obs`` threads one :class:`repro.obs.Observability` through
         the whole stack: its clock binds to the fleet engine, the
@@ -1116,8 +1082,12 @@ class Fleet:
         """
         if count <= 0:
             raise ValueError("a fleet needs at least one device")
-        if worker_mode != "loop" and shards is None:
-            raise ValueError("worker_mode requires shards")
+        implied_mode = "loop" if shards is None else "process"
+        if worker_mode not in (None, implied_mode):
+            raise ValueError(
+                f"worker_mode {worker_mode!r} does not match shards="
+                f"{shards!r}; expected 'loop' or 'process' as shards "
+                f"implies ({implied_mode!r} here)")
         if engine is None:
             engine = SimulationEngine()
         if obs is None:
@@ -1129,6 +1099,25 @@ class Fleet:
             # observed even without an explicit durable backend.
             store = obs.wrap_store(
                 store if store is not None else MemoryStore())
+        round_sinks = list(sinks)
+        slo_sink = obs.health_sink()
+        if slo_sink is not None and slo_sink not in round_sinks:
+            round_sinks.append(slo_sink)
+        # The verifier is built (and its arguments checked) before the
+        # transport, which may own threads and sockets.
+        if shards is not None:
+            verifier: Union[FleetVerifier, ShardedFleetVerifier] = \
+                ShardedFleetVerifier(profile.config, shards=shards,
+                                     schedule_tolerance=schedule_tolerance,
+                                     allowed_missing=allowed_missing,
+                                     sinks=round_sinks, store=store,
+                                     obs=obs)
+        else:
+            verifier = FleetVerifier(profile.config,
+                                     schedule_tolerance=schedule_tolerance,
+                                     allowed_missing=allowed_missing,
+                                     sinks=round_sinks, store=store,
+                                     obs=obs)
         options = dict(transport_options or {})
         if isinstance(transport, str):
             try:
@@ -1148,39 +1137,29 @@ class Fleet:
             built_transport = transport
         else:
             built_transport = transport(engine, **options)
-
-        round_sinks = list(sinks)
         if obs.enabled:
             obs.attach_transport(built_transport)
-            slo_sink = obs.health_sink()
-            if slo_sink is not None and slo_sink not in round_sinks:
-                round_sinks.append(slo_sink)
-        if shards is not None:
-            verifier: Union[FleetVerifier, ShardedFleetVerifier] = \
-                ShardedFleetVerifier(profile.config, shards=shards,
-                                     schedule_tolerance=schedule_tolerance,
-                                     allowed_missing=allowed_missing,
-                                     sinks=round_sinks, store=store,
-                                     worker_mode=worker_mode, obs=obs)
-        else:
-            verifier = FleetVerifier(profile.config,
-                                     schedule_tolerance=schedule_tolerance,
-                                     allowed_missing=allowed_missing,
-                                     sinks=round_sinks, store=store,
-                                     obs=obs)
         devices: Dict[str, ProvisionedDevice] = {}
         interval = profile.config.measurement_interval
-        for index in range(count):
-            device_id = f"{name_prefix}-{index:04d}"
-            device = profile.provision(device_id,
-                                       master_secret=master_secret)
-            offset = start_time
-            if stagger:
-                offset += (index / count) * interval
-            device.prover.attach(engine, start_time=offset)
-            built_transport.register(device)
-            verifier.enroll_device(device)
-            devices[device_id] = device
+        try:
+            for index in range(count):
+                device_id = f"{name_prefix}-{index:04d}"
+                device = profile.provision(device_id,
+                                           master_secret=master_secret)
+                offset = start_time
+                if stagger:
+                    offset += (index / count) * interval
+                device.prover.attach(engine, start_time=offset)
+                built_transport.register(device)
+                verifier.enroll_device(device)
+                devices[device_id] = device
+        except BaseException:
+            # A transport built here from its name belongs to no caller
+            # yet; release its threads and sockets before re-raising.
+            close = getattr(built_transport, "close", None)
+            if isinstance(transport, str) and close is not None:
+                close()
+            raise
         if obs.enabled:
             # inc, not set: two fleets sharing one obs should add up.
             obs.devices_enrolled.inc(count)

@@ -22,10 +22,10 @@ then ``exchange_many`` a batch of encoded requests for encoded
 responses (``None`` marks a device that never answered — lost packets,
 partitions, or a dead device).
 
-Collection is async-first: the awaitable :class:`AsyncTransport`
-contract is what :meth:`repro.fleet.FleetVerifier.collect_all_async`
-drives, so wire exchange for one shard can overlap verification of
-another.  Synchronous transports keep working unchanged behind
+Collection is async-first: :meth:`repro.fleet.FleetVerifier.
+collect_all_async` drives an awaitable ``exchange_many``, so wire
+exchange for one shard can overlap verification of another.
+Synchronous transports keep working unchanged behind
 :class:`SyncTransportAdapter`; the simulated network additionally
 offers a *native* awaitable exchange whose delivery is event-driven
 (per-round packet-settlement accounting), so any number of collection
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import inspect
 import itertools
 import socket
 import struct
@@ -88,7 +89,7 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def exchange(self, device_id: str, payload: bytes) -> Optional[bytes]:
-        """Send one encoded request; return the encoded response or ``None``."""
+        """Send one request; return its encoded response or ``None``."""
 
     def exchange_many(self, requests: Mapping[str, bytes]
                       ) -> Dict[str, Optional[bytes]]:
@@ -102,41 +103,7 @@ class Transport(abc.ABC):
                 for device_id, payload in requests.items()}
 
 
-class AsyncTransport(abc.ABC):
-    """Awaitable request/response channel: the collection pipeline seam.
-
-    The contract mirrors :class:`Transport` with an ``async``
-    ``exchange_many``: awaiting it yields control while responses are
-    outstanding, so a collection pipeline can verify one shard while
-    another shard's packets are still on the wire.  Synchronous
-    transports are adapted with :class:`SyncTransportAdapter`; use
-    :func:`as_async_transport` rather than wrapping by hand.
-    """
-
-    #: Short name used in experiment tables and traces.
-    name = "abstract-async"
-
-    #: Engine whose clock stamps collection times (``None`` when the
-    #: transport has no virtual clock).
-    engine: Optional[SimulationEngine] = None
-
-    @abc.abstractmethod
-    def register(self, device: ProvisionedDevice) -> None:
-        """Attach one provisioned device to this transport."""
-
-    @abc.abstractmethod
-    async def exchange_many(self, requests: Mapping[str, bytes]
-                            ) -> Dict[str, Optional[bytes]]:
-        """Exchange a batch of requests; resolve when the round settles."""
-
-    async def exchange(self, device_id: str, payload: bytes
-                       ) -> Optional[bytes]:
-        """Send one encoded request; return the encoded response or ``None``."""
-        responses = await self.exchange_many({device_id: payload})
-        return responses[device_id]
-
-
-class SyncTransportAdapter(AsyncTransport):
+class SyncTransportAdapter:
     """Awaitable view over a synchronous transport.
 
     The wrapped exchange runs inline on the event loop: synchronous
@@ -156,11 +123,12 @@ class SyncTransportAdapter(AsyncTransport):
         self.inner = inner
 
     @property
-    def name(self) -> str:  # type: ignore[override]
+    def name(self) -> str:
         return getattr(self.inner, "name", "sync")
 
     @property
-    def engine(self):  # type: ignore[override]
+    def engine(self) -> Optional[SimulationEngine]:
+        """Engine whose clock stamps collection times (``None`` if none)."""
         return getattr(self.inner, "engine", None)
 
     @property
@@ -173,7 +141,14 @@ class SyncTransportAdapter(AsyncTransport):
 
     async def exchange_many(self, requests: Mapping[str, bytes]
                             ) -> Dict[str, Optional[bytes]]:
+        """Exchange a batch of requests; resolve when the round settles."""
         return self.inner.exchange_many(requests)
+
+    async def exchange(self, device_id: str, payload: bytes
+                       ) -> Optional[bytes]:
+        """Send one request; return its encoded response or ``None``."""
+        responses = await self.exchange_many({device_id: payload})
+        return responses[device_id]
 
 
 class _NativeAsyncAdapter(SyncTransportAdapter):
@@ -184,15 +159,16 @@ class _NativeAsyncAdapter(SyncTransportAdapter):
         return await self.inner.exchange_many_async(requests)
 
 
-def as_async_transport(transport) -> AsyncTransport:
+def as_async_transport(transport):
     """The awaitable view of any transport.
 
-    Already-async transports pass through; transports exposing a native
-    ``exchange_many_async`` (the simulated network) get an adapter bound
-    to it; plain synchronous transports get the inline
-    :class:`SyncTransportAdapter`.
+    A transport whose ``exchange_many`` is already a coroutine function
+    (an adapter handed back in included) passes through; transports
+    exposing a native ``exchange_many_async`` (the simulated network)
+    get an adapter bound to it; plain synchronous transports get the
+    inline :class:`SyncTransportAdapter`.
     """
-    if isinstance(transport, AsyncTransport):
+    if inspect.iscoroutinefunction(getattr(transport, "exchange_many", None)):
         return transport
     if callable(getattr(transport, "exchange_many_async", None)):
         return _NativeAsyncAdapter(transport)

@@ -1,12 +1,12 @@
 """Process-pool shard workers: verification escapes the GIL.
 
-A :class:`WorkerPool` spawns N worker processes, each running
+A :class:`WorkerPool` starts N worker processes, each running
 :func:`_worker_main`: a headless verification core (the same
-:meth:`~repro.fleet.service.FleetVerifier._verify_payload` the
-in-process shards use) fed over a ``multiprocessing`` pipe with a
-compact binary task codec.  The parent keeps all authoritative state — enrollments,
-the :class:`~repro.store.StateStore`, sinks, observability — and ships
-each worker only what a task needs:
+:meth:`~repro.fleet.service.FleetVerifier._verify_payload` an
+unsharded verifier runs inline) fed over a ``multiprocessing`` pipe
+with a compact binary task codec.  The parent keeps all authoritative
+state — enrollments, the :class:`~repro.store.StateStore`, sinks,
+observability — and ships each worker only what a task needs:
 
 * an **enrollment sync** (keys + digest whitelists, JSON rows) when a
   worker (re)spawns or the parent's enrollment material changes;
@@ -36,8 +36,10 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import multiprocessing.forkserver
 import os
 import struct
+import sys
 import threading
 import time as _time
 import traceback
@@ -76,6 +78,13 @@ _RESULT_HAS_TIMINGS = 0x01
 
 #: Exit code of a deliberately crashed worker (``inject_crash``).
 CRASH_EXIT_CODE = 17
+
+#: Imported once by the fork server, so every worker starts warm: the
+#: verifier stack and the observability module its verifier binds.
+_PRELOAD_MODULES = ["repro.fleet.service", "repro.obs.service"]
+
+_fork_server_lock = named_lock("fleet.fork_server")
+_fork_server_started = False
 
 
 class WorkerCrashed(Exception):
@@ -186,10 +195,9 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
                  schedule_tolerance: float, allowed_missing: int) -> None:
     """The worker loop: one frame in, one frame out, in order.
 
-    Runs in a spawned child process (``multiprocessing`` forwards the
-    parent's ``sys.path``, so the src layout imports cleanly).  All
-    fleet/campaign imports happen here, not at module import time, so
-    the parent-side pool never pays for (or cycles through) them.
+    Runs in a child forked from the pool's fork server, which has the
+    fleet imports below preloaded.  Importing here, not at module
+    level, keeps the parent-side pool from cycling through them.
     """
     from repro.core.verification import Enrollment
     from repro.fleet.service import FleetVerifier
@@ -339,6 +347,32 @@ def cell_from_row(row: Dict[str, object]):
 # Parent-side pool
 # ----------------------------------------------------------------------
 
+def _start_fork_server() -> None:
+    """Start the fork server once, preloading :data:`_PRELOAD_MODULES`.
+
+    The server does not apply the parent's ``sys.path`` before its
+    preload (CPython 3.10–3.13), so a path set at run time (pytest's
+    ``pythonpath``, a script inserting ``src``) is handed over in
+    ``PYTHONPATH`` for the launch only; otherwise the preload fails
+    silently and every worker imports cold.
+    """
+    global _fork_server_started
+    with _fork_server_lock:
+        if _fork_server_started:
+            return
+        multiprocessing.forkserver.set_forkserver_preload(_PRELOAD_MODULES)
+        previous = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, sys.path))
+        try:
+            multiprocessing.forkserver.ensure_running()
+        finally:
+            if previous is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = previous
+        _fork_server_started = True
+
+
 class _WorkerHandle:
     """Parent-side state for one live worker process."""
 
@@ -354,7 +388,7 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """N spawned verification workers behind correlated-future pipes.
+    """N verification worker processes behind correlated-future pipes.
 
     One duplex pipe per worker; a parent-side reader thread per worker
     resolves futures by correlation id, so any number of tasks can be
@@ -362,6 +396,10 @@ class WorkerPool:
     are safe to call from event-loop callbacks: futures are
     ``concurrent.futures.Future`` and awaitable via
     ``asyncio.wrap_future``.
+
+    Building a pool starts nothing; :meth:`ensure_worker` forks a slot
+    from the fork server (:func:`_start_fork_server`), which starts once
+    per parent process: workers see the environment of that start.
     """
 
     def __init__(self, count: int,
@@ -377,7 +415,7 @@ class WorkerPool:
         self.schedule_tolerance = schedule_tolerance
         self.allowed_missing = allowed_missing
         self.obs = obs if obs is not None else NULL_OBSERVABILITY
-        self._context = multiprocessing.get_context("spawn")
+        self._context = multiprocessing.get_context("forkserver")
         self._handles: List[Optional[_WorkerHandle]] = [None] * count
         self.generations = [0] * count
         self.restarts = [0] * count
@@ -388,7 +426,7 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
     def ensure_worker(self, index: int) -> int:
-        """Spawn (or respawn) the slot if needed; returns its generation.
+        """Start (or restart) the slot if needed; returns its generation.
 
         A slot whose process died — crash-injected or organic — counts
         one restart and one ``repro_worker_restarts_total`` tick when
@@ -402,6 +440,7 @@ class WorkerPool:
             if handle is not None and not handle.dead.is_set():
                 return self.generations[index]
             respawn = handle is not None
+            _start_fork_server()
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
                 target=_worker_main,

@@ -10,7 +10,6 @@ from repro.arch.base import encode_timestamp
 from repro.core import CollectResponse, DeviceStatus, Measurement
 from repro.crypto.mac import get_mac
 from repro.fleet import (
-    AsyncTransport,
     Fleet,
     FleetVerifier,
     InProcessTransport,
@@ -54,7 +53,7 @@ def test_sync_adapter_wraps_in_process_transport():
 
 
 def test_as_async_transport_passes_async_through():
-    class _Null(AsyncTransport):
+    class _Null:
         def register(self, device):
             pass
 
@@ -63,6 +62,9 @@ def test_as_async_transport_passes_async_through():
 
     transport = _Null()
     assert as_async_transport(transport) is transport
+    # An adapter handed back in is already awaitable: no double wrap.
+    adapted = as_async_transport(InProcessTransport())
+    assert as_async_transport(adapted) is adapted
 
 
 def test_as_async_transport_prefers_native_async():

@@ -148,7 +148,7 @@ def test_crafted_stamps_do_not_abort_an_inline_round():
 
 def test_crafted_stamps_do_not_abort_a_process_round():
     fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
-                            shards=2, worker_mode="process")
+                            shards=2)
     try:
         fleet.run_until(60.0)
         fleet.transport = EditingTransport(fleet.transport,

@@ -1,4 +1,8 @@
-"""Tests for ShardedFleetVerifier: shard assignment, merge exactness."""
+"""Tests for ShardedFleetVerifier: shard assignment, merge exactness.
+
+Every sharded fleet here verifies in worker processes; its unsharded
+twin (same profile and master secret) is the in-process reference.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +32,8 @@ def provision_pair(count, shards, infected=(), rounds=1, **sharded_kwargs):
 
     Provisioning is a pure function of profile and master secret, so
     both fleets carry identical devices with identical measurement
-    histories; only the verifier topology differs.
+    histories; only where verification runs differs.  Both fleets come
+    back closed (worker processes stopped), their results intact.
     """
     outcomes = []
     for shard_count in (None, shards):
@@ -48,6 +53,7 @@ def provision_pair(count, shards, infected=(), rounds=1, **sharded_kwargs):
             for device_id in infected:
                 fleet.device(device_id).load_application(FIRMWARE)
             all_reports.append(fleet.collect_all())
+        fleet.close()
         outcomes.append((fleet, all_reports))
     return outcomes
 
@@ -60,6 +66,7 @@ def test_sharded_round_matches_single_verifier():
             [report_key(r) for r in sharded_reports]
     assert health_bytes(single.verifier) == health_bytes(sharded.verifier)
     assert sharded.health.flagged_devices == {"dev-0004", "dev-0011"}
+    assert sharded.verifier.worker_pool.restarts == [0, 0, 0]
 
 
 def test_shard_assignment_is_stable_round_robin():
@@ -78,11 +85,15 @@ def test_shard_assignment_is_stable_round_robin():
 
 
 def test_sharded_requires_at_least_one_shard_and_known_mode():
-    config = small_profile().config
     with pytest.raises(ValueError):
-        ShardedFleetVerifier(config, shards=0)
-    with pytest.raises(ValueError):
-        ShardedFleetVerifier(config, worker_mode="fork")
+        ShardedFleetVerifier(small_profile().config, shards=0)
+    # worker_mode may only restate what shards implies.
+    with pytest.raises(ValueError, match="does not match shards"):
+        Fleet.provision(small_profile(), 2, master_secret=b"master",
+                        worker_mode="process")
+    with pytest.raises(ValueError, match="does not match shards"):
+        Fleet.provision(small_profile(), 2, master_secret=b"master",
+                        shards=2, worker_mode="loop")
 
 
 @settings(max_examples=12, deadline=None)
@@ -95,9 +106,9 @@ def test_shard_merge_health_byte_identical_property(count, shards,
     """ShardedFleetVerifier health == single-verifier health, bytewise.
 
     Whatever the fleet size, shard count, infection pattern and number
-    of rounds, merging the per-shard aggregates must reproduce the
-    single verifier's aggregate exactly — floats included, thanks to
-    the exact freshness accumulator.
+    of rounds, merging the health parts the worker processes ship home
+    must reproduce the single verifier's aggregate exactly — floats
+    included, thanks to the exact freshness accumulator.
     """
     infected = tuple(f"dev-{index:04d}"
                      for index in range(count)
@@ -116,10 +127,11 @@ def test_sharded_shared_store_checkpoint_identical_to_single():
     sharded = Fleet.provision(small_profile(), 10, master_secret=b"master",
                               shards=4, store=sharded_store)
     for fleet in (single, sharded):
-        fleet.run_until(30.0)
-        fleet.device("dev-0002").load_application(MALWARE)
-        fleet.run_until(60.0)
-        fleet.collect_all()
+        with fleet:
+            fleet.run_until(30.0)
+            fleet.device("dev-0002").load_application(MALWARE)
+            fleet.run_until(60.0)
+            fleet.collect_all()
     assert single_store.state_bytes() == sharded_store.state_bytes()
     assert single_store.state_bytes()  # a checkpoint was actually written
     assert sharded.health.flagged_devices == {"dev-0002"}
@@ -127,60 +139,60 @@ def test_sharded_shared_store_checkpoint_identical_to_single():
 
 def test_thread_worker_mode_is_rejected():
     with pytest.raises(ValueError, match="'loop' or 'process'"):
-        ShardedFleetVerifier(small_profile().config, worker_mode="thread")
-    with pytest.raises(ValueError, match="'loop' or 'process'"):
         Fleet.provision(small_profile(), 2, master_secret=b"master",
                         shards=2, worker_mode="thread")
 
 
 def test_sharded_loop_mode_overlaps_simulated_network_rounds():
-    fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
-                            shards=4, transport="simulated-network")
-    fleet.run_until(60.0)
-    before = fleet.now
-    reports = fleet.collect_all(batch_size=3)
-    assert len(reports) == 12
-    assert {r.status for r in reports} == {DeviceStatus.HEALTHY}
-    # Four shard workers' rounds overlapped in virtual time: the whole
-    # fleet cost scarcely more than one round trip, not one per shard.
-    assert fleet.now - before < 4 * (2 * 0.005)
+    with Fleet.provision(small_profile(), 12, master_secret=b"master",
+                         shards=4, transport="simulated-network") as fleet:
+        fleet.run_until(60.0)
+        before = fleet.now
+        reports = fleet.collect_all(batch_size=3)
+        assert len(reports) == 12
+        assert {r.status for r in reports} == {DeviceStatus.HEALTHY}
+        # Four shard workers' rounds overlapped in virtual time: the whole
+        # fleet cost scarcely more than one round trip, not one per shard.
+        assert fleet.now - before < 4 * (2 * 0.005)
 
 
 def test_sharded_sinks_receive_reports_in_enrollment_order():
     sink = MemorySink()
-    fleet = Fleet.provision(small_profile(), 9, master_secret=b"master",
-                            shards=2, sinks=(sink,))
-    fleet.run_until(60.0)
-    fleet.collect_all()
-    assert [report.device_id for report in sink.reports] == fleet.device_ids()
+    with Fleet.provision(small_profile(), 9, master_secret=b"master",
+                         shards=2, sinks=(sink,)) as fleet:
+        fleet.run_until(60.0)
+        fleet.collect_all()
+        assert [report.device_id for report in sink.reports] == \
+            fleet.device_ids()
 
 
 def test_sharded_round_stats_merge():
-    fleet = Fleet.provision(small_profile(), 10, master_secret=b"master",
-                            shards=2)
-    fleet.run_until(60.0)
-    reports = fleet.collect_all(batch_size=3)
-    stats = reports.stats
-    assert stats.requests_sent == 10
-    assert stats.responses_received == 10
-    assert stats.responses_lost == 0
-    # Shards of 5 devices with batch_size 3: two pipeline shards each.
-    assert stats.shards == 4
-    assert stats.wall_seconds > 0
-    assert fleet.health.round_stats == [stats]
+    with Fleet.provision(small_profile(), 10, master_secret=b"master",
+                         shards=2) as fleet:
+        fleet.run_until(60.0)
+        reports = fleet.collect_all(batch_size=3)
+        stats = reports.stats
+        assert stats.requests_sent == 10
+        assert stats.responses_received == 10
+        assert stats.responses_lost == 0
+        # Shards of 5 devices with batch_size 3: two pipeline shards each.
+        assert stats.shards == 4
+        assert stats.wall_seconds > 0
+        assert fleet.health.round_stats == [stats]
 
 
 def test_sharded_last_collection_time_and_enrollment_lookups():
-    fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
-                            shards=3)
-    fleet.run_until(60.0)
-    fleet.collect_all()
-    verifier = fleet.verifier
-    assert verifier.is_enrolled("dev-0000")
-    assert not verifier.is_enrolled("ghost")
-    assert verifier.last_collection_time("dev-0003") == pytest.approx(60.0)
-    assert verifier.last_collection_time("ghost") is None
-    assert verifier.worker_for("dev-0004").is_enrolled("dev-0004")
+    with Fleet.provision(small_profile(), 6, master_secret=b"master",
+                         shards=3) as fleet:
+        fleet.run_until(60.0)
+        fleet.collect_all()
+        verifier = fleet.verifier
+        assert verifier.is_enrolled("dev-0000")
+        assert not verifier.is_enrolled("ghost")
+        assert verifier.last_collection_time("dev-0003") == \
+            pytest.approx(60.0)
+        assert verifier.last_collection_time("ghost") is None
+        assert verifier.worker_for("dev-0004").is_enrolled("dev-0004")
 
 
 def test_sharded_close_is_idempotent():
@@ -212,18 +224,18 @@ class _ExplodingSink(MemorySink):
 def test_sharded_retry_round_survives_sink_failure():
     """A dead sink is pruned so the retry streams to the survivors."""
     exploding, survivor = _ExplodingSink(), MemorySink()
-    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, sinks=(exploding, survivor))
-    fleet.run_until(60.0)
-    with pytest.raises(ConnectionError):
-        fleet.collect_all()
-    assert exploding not in fleet.verifier.sinks
-    assert survivor in fleet.verifier.sinks
-    fleet.run_until(120.0)
-    retry = fleet.collect_all()
-    assert len(retry) == 8
-    # Three before the failure, eight from the retry round.
-    assert len(survivor.reports) == 11
+    with Fleet.provision(small_profile(), 8, master_secret=b"master",
+                         shards=2, sinks=(exploding, survivor)) as fleet:
+        fleet.run_until(60.0)
+        with pytest.raises(ConnectionError):
+            fleet.collect_all()
+        assert exploding not in fleet.verifier.sinks
+        assert survivor in fleet.verifier.sinks
+        fleet.run_until(120.0)
+        retry = fleet.collect_all()
+        assert len(retry) == 8
+        # Three before the failure, eight from the retry round.
+        assert len(survivor.reports) == 11
 
 
 def test_sharded_collect_refuses_to_block_running_loop():
@@ -251,14 +263,14 @@ def test_single_shard_equals_plain_fleet_verifier():
 
 
 def test_more_workers_than_devices_counts_real_shards_only():
-    fleet = Fleet.provision(small_profile(), 2, master_secret=b"master",
-                            shards=4)
-    fleet.run_until(60.0)
-    reports = fleet.collect_all()
-    assert len(reports) == 2
-    # Two device-less workers must not invent shards in the merge.
-    assert reports.stats.shards == 2
-    assert reports.stats.requests_sent == 2
+    with Fleet.provision(small_profile(), 2, master_secret=b"master",
+                         shards=4) as fleet:
+        fleet.run_until(60.0)
+        reports = fleet.collect_all()
+        assert len(reports) == 2
+        # Two device-less workers must not invent shards in the merge.
+        assert reports.stats.shards == 2
+        assert reports.stats.requests_sent == 2
 
 
 class _LockProbeStore(MemoryStore):
@@ -286,10 +298,10 @@ def test_sharded_checkpoint_goes_through_the_locked_store():
     interleave with it on the single-writer backends.
     """
     probe = _LockProbeStore()
-    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, store=probe)
-    probe.shared_lock = fleet.verifier._shared_store._lock
-    fleet.run_until(30.0)
-    fleet.collect_all()
-    assert probe.checkpoint_lock_held
-    assert all(probe.checkpoint_lock_held)
+    with Fleet.provision(small_profile(), 8, master_secret=b"master",
+                         shards=2, store=probe) as fleet:
+        probe.shared_lock = fleet.verifier._shared_store._lock
+        fleet.run_until(30.0)
+        fleet.collect_all()
+        assert probe.checkpoint_lock_held
+        assert all(probe.checkpoint_lock_held)

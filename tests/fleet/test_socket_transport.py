@@ -1,12 +1,20 @@
 """Tests for SocketTransport: real loopback datagrams, TCP fallback."""
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.core import CollectRequest, CollectResponse, decode_response
-from repro.fleet import Fleet, SocketTransport, as_async_transport
+from repro.fleet import (
+    DuplicateEnrollmentError,
+    Fleet,
+    FleetVerifier,
+    SocketTransport,
+    as_async_transport,
+)
 from repro.sim import SimulationEngine
+from repro.store import MemoryStore
 from tests.fleet.helpers import health_bytes
 from tests.fleet.helpers import small_profile as _small_profile
 
@@ -155,3 +163,27 @@ def test_fleet_round_over_sockets_matches_in_process():
         finally:
             fleet.close()
     assert rows["in-process"] == rows["socket"]
+
+
+def test_failed_provision_closes_the_transport_it_built():
+    """A provision that raises leaves no socket thread or socket behind."""
+    def socket_threads():
+        return [thread for thread in threading.enumerate()
+                if thread.name == "socket-transport"]
+
+    before = len(socket_threads())
+    with pytest.raises(ValueError):
+        Fleet.provision(small_profile(), 2, master_secret=b"master",
+                        transport="socket", shards=0)
+    with pytest.raises(ValueError):
+        Fleet.provision(small_profile(), 2, master_secret=b"master",
+                        transport="socket", shards=2, worker_mode="thread")
+    # A failure mid-way through enrollment: dev-0001 is already in the
+    # store, so the second device of the loop raises.
+    store = MemoryStore()
+    FleetVerifier(small_profile().config, store=store).enroll_device(
+        small_profile().provision("dev-0001", master_secret=b"master"))
+    with pytest.raises(DuplicateEnrollmentError):
+        Fleet.provision(small_profile(), 3, master_secret=b"master",
+                        transport="socket", store=store)
+    assert len(socket_threads()) == before

@@ -1,8 +1,10 @@
-"""Tests for the process worker pool: codec, byte-identity, crash recovery."""
+"""Tests for the process worker pool: codec, crash recovery, spans.
+
+Byte-identity of sharded (worker-process) rounds against an unsharded
+verifier lives in ``tests/fleet/test_sharded.py``.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import DeviceStatus
 from repro.fleet import Fleet, FleetVerifier, WorkerCrashed, WorkerError, \
@@ -13,11 +15,9 @@ from repro.fleet.workers import (
     encode_result,
     encode_task,
 )
-from tests.fleet.helpers import health_bytes, report_key
 from tests.fleet.helpers import small_profile as _small_profile
 
 FIRMWARE = b"workers-test-firmware"
-MALWARE = b"workers-test-implant!"
 
 
 def small_profile():
@@ -68,75 +68,6 @@ def test_result_codec_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Process mode == loop mode
-# ----------------------------------------------------------------------
-
-def run_rounds(fleet, infected=(), rounds=1):
-    """Drive deterministic rounds with a mid-window infect/clean cycle."""
-    horizon = 0.0
-    all_reports = []
-    for _ in range(rounds):
-        horizon += 60.0
-        fleet.run_until(horizon)
-        for device_id in infected:
-            fleet.device(device_id).load_application(MALWARE)
-        fleet.run_until(horizon + 20.0)
-        horizon += 20.0
-        for device_id in infected:
-            fleet.device(device_id).load_application(FIRMWARE)
-        all_reports.append(fleet.collect_all())
-    return all_reports
-
-
-def provision_twin(count, shards, infected=(), rounds=1):
-    """Twin sharded fleets differing only in where verification runs."""
-    outcomes = []
-    for worker_mode in ("loop", "process"):
-        fleet = Fleet.provision(small_profile(), count,
-                                master_secret=b"master", shards=shards,
-                                worker_mode=worker_mode)
-        outcomes.append((fleet, run_rounds(fleet, infected, rounds)))
-    return outcomes
-
-
-def test_process_mode_matches_loop_mode():
-    (loop, loop_rounds), (process, process_rounds) = provision_twin(
-        18, shards=3, infected=("dev-0004", "dev-0011"), rounds=2)
-    try:
-        for loop_reports, process_reports in zip(loop_rounds,
-                                                 process_rounds):
-            assert [report_key(r) for r in loop_reports] == \
-                [report_key(r) for r in process_reports]
-        assert health_bytes(loop.verifier) == health_bytes(process.verifier)
-        # The infect/clean cycle flags its victims in both placements
-        # (the 80 s cadence additionally flags round-2 gap policy hits,
-        # identically on both sides — pinned by the byte-identity above).
-        assert {"dev-0004", "dev-0011"} <= process.health.flagged_devices
-        pool = process.verifier.worker_pool
-        assert pool is not None and pool.restarts == [0, 0, 0]
-    finally:
-        loop.close()
-        process.close()
-
-
-@settings(max_examples=4, deadline=None)
-@given(count=st.integers(min_value=1, max_value=10),
-       shards=st.integers(min_value=1, max_value=3),
-       infect_stride=st.integers(min_value=0, max_value=3))
-def test_process_merge_health_byte_identical_property(count, shards,
-                                                      infect_stride):
-    infected = tuple(f"dev-{index:04d}" for index in range(count)
-                     if infect_stride and index % 3 == infect_stride % 3)
-    (loop, _), (process, _) = provision_twin(count, shards,
-                                             infected=infected)
-    try:
-        assert health_bytes(loop.verifier) == health_bytes(process.verifier)
-    finally:
-        loop.close()
-        process.close()
-
-
-# ----------------------------------------------------------------------
 # Crash injection and recovery
 # ----------------------------------------------------------------------
 
@@ -144,8 +75,7 @@ def test_worker_crash_loses_round_then_rejoins():
     # A whole collection round vanishes with the crashed worker, so the
     # survivors' buffers bridge a one-round gap on rejoin: tolerate it.
     fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
-                            shards=2, worker_mode="process",
-                            allowed_missing=8)
+                            shards=2, allowed_missing=8)
     try:
         verifier = fleet.verifier
         shard0 = [device_id for device_id in verifier.enrolled_ids()
@@ -188,7 +118,7 @@ def test_worker_crash_loses_round_then_rejoins():
 
 def test_crash_round_health_counts_shard_devices_unseen():
     fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, worker_mode="process")
+                            shards=2)
     try:
         fleet.run_until(60.0)
         fleet.verifier.warm_up()
@@ -209,45 +139,50 @@ def test_crash_round_health_counts_shard_devices_unseen():
 # Span traces through the shared round loop
 # ----------------------------------------------------------------------
 
-def traced_fleet(worker_mode, count=6, **kwargs):
+def traced_fleet(count=6, **kwargs):
     from repro.obs import Observability
 
     obs = Observability(seed=3)
     fleet = Fleet.provision(small_profile(), count, master_secret=b"master",
-                            shards=2, worker_mode=worker_mode, obs=obs,
-                            **kwargs)
+                            shards=2, obs=obs, **kwargs)
     return fleet, obs
 
 
 def test_process_mode_traces_the_loop_mode_span_tree():
-    """Same round/shard spans as loop mode, minus per-device spans."""
-    traces = {}
-    for worker_mode in ("loop", "process"):
-        fleet, obs = traced_fleet(worker_mode)
-        try:
-            fleet.run_until(60.0)
-            fleet.collect_all(batch_size=2)
-        finally:
-            fleet.close()
-        traces[worker_mode] = obs.tracer.export_rows()
-    loop_spans = [row for row in traces["loop"]
-                  if row["kind"] != "device_verify"]
-    assert len(traces["loop"]) - len(loop_spans) == 6
-    assert traces["process"] == loop_spans
-    kinds = [row["kind"] for row in traces["process"]]
+    """A worker-process round traces round -> shard -> device spans."""
+    fleet, obs = traced_fleet()
+    try:
+        fleet.run_until(60.0)
+        reports = fleet.collect_all(batch_size=2)
+    finally:
+        fleet.close()
+    rows = obs.tracer.export_rows()
+    by_path = {row["path"]: row for row in rows}
+    kinds = [row["kind"] for row in rows]
     assert kinds.count("round") == 2
     assert kinds.count("shard") == 4  # 3 devices per worker, batches of 2
-    for row in traces["process"]:
+    assert kinds.count("device_verify") == 6
+    for row in rows:
+        if row["kind"] == "round":
+            assert row["parent_id"] is None
+            assert row["attrs"]["reports"] == 3
+            continue
+        parent_path = row["path"].rpartition("/")[0]
+        assert row["parent_id"] == by_path[parent_path]["span_id"]
         if row["kind"] == "shard":
             attrs = row["attrs"]
             assert attrs["received"] == attrs["devices"]
             assert attrs["lost"] == 0
         else:
-            assert row["attrs"]["reports"] == 3
+            assert by_path[parent_path]["kind"] == "shard"
+    statuses = {row["attrs"]["device_id"]: row["attrs"]["status"]
+                for row in rows if row["kind"] == "device_verify"}
+    assert statuses == {report.device_id: report.status.value
+                        for report in reports}
 
 
 def test_crashed_worker_shard_span_records_every_device_lost():
-    fleet, obs = traced_fleet("process", allowed_missing=8)
+    fleet, obs = traced_fleet(allowed_missing=8)
     try:
         verifier = fleet.verifier
         shard0 = [device_id for device_id in verifier.enrolled_ids()
@@ -278,8 +213,16 @@ def test_crashed_worker_shard_span_records_every_device_lost():
         assert pool.restarts[0] == 1
         spans = {row["path"]: row for row in obs.tracer.export_rows()}
         assert spans["round:2/worker:0/shard:0"]["attrs"]["lost"] == 0
-        assert not any(row["kind"] == "device_verify"
-                       for row in spans.values())
+        # One device span per device and round, the crashed shard's
+        # devices included (recorded NO_DATA).
+        devices = [row for row in spans.values()
+                   if row["kind"] == "device_verify"]
+        assert len(devices) == 2 * len(verifier.enrolled_ids())
+        for device_id in shard0:
+            lost = spans[f"round:1/worker:0/shard:0/device:{device_id}"]
+            assert lost["attrs"]["status"] == "no_data"
+            back = spans[f"round:2/worker:0/shard:0/device:{device_id}"]
+            assert back["attrs"]["status"] == "healthy"
     finally:
         fleet.close()
 
@@ -342,7 +285,7 @@ def test_worker_pool_metrics_record_restarts_and_latency():
 
     obs = Observability()
     fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
-                            shards=2, worker_mode="process", obs=obs)
+                            shards=2, obs=obs)
     try:
         fleet.run_until(60.0)
         fleet.collect_all()

@@ -127,12 +127,17 @@ def test_partition_slo_violation_fires_before_the_round_returns():
 
 
 def test_span_traces_are_byte_identical_across_seeded_runs():
-    def run():
+    """Same seed, same trace bytes — on the lossy simulated network
+    (unsharded) and through the worker processes of a sharded fleet.
+
+    Sharded rounds stay on the in-process transport: over the simulated
+    network a worker-process verify awaits its worker while other
+    shards drive the engine, so virtual-time stamps would depend on
+    wall-clock interleaving.
+    """
+    def run(**kwargs):
         obs = Observability(seed=11)
-        fleet = provision(40, obs=obs, shards=2,
-                          transport="simulated-network",
-                          transport_options={"loss_probability": 0.1,
-                                             "seed": 7})
+        fleet = provision(40, obs=obs, **kwargs)
         try:
             fleet.run_until(60.0)
             fleet.collect_all(batch_size=10)
@@ -140,18 +145,24 @@ def test_span_traces_are_byte_identical_across_seeded_runs():
             fleet.collect_all(batch_size=10)
         finally:
             fleet.close()
-        return obs
+        return obs.tracer.export_jsonl(), obs.tracer.export_rows()
 
-    one, two = run(), run()
-    trace_one, trace_two = one.tracer.export_jsonl(), \
-        two.tracer.export_jsonl()
-    assert trace_one == trace_two
+    network = dict(transport="simulated-network",
+                   transport_options={"loss_probability": 0.1, "seed": 7})
+    trace_one, rows = run(**network)
+    assert trace_one == run(**network)[0]
     assert trace_one  # not vacuously equal
+    paths = [row["path"] for row in rows]
+    assert "round:1/worker:0" in paths and "round:2/worker:0" in paths
+    assert any("/device:" in path for path in paths)
+
+    sharded_one, rows = run(shards=2)
+    assert sharded_one == run(shards=2)[0]
     # Two rounds, two workers each, plus shard and device rows.
-    paths = [row["path"] for row in one.tracer.export_rows()]
+    paths = [row["path"] for row in rows]
     assert "round:1/worker:0" in paths and "round:1/worker:1" in paths
     assert "round:2/worker:0" in paths
-    assert any("/device:" in path for path in paths)
+    assert sum("/device:" in path for path in paths) == 2 * 40
     # A different tracer seed renames every span but keeps the shape.
     reseeded = Observability(seed=12)
     assert reseeded.tracer.export_jsonl() != trace_one or not trace_one
